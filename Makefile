@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare cache-bench ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
+.PHONY: all build test race bench bench-baseline bench-compare cache-bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
 
 # Benchmark regression rails: bench-baseline runs the figure/table suite
 # with -benchmem and records it as $(BENCH_JSON) (ns/op, allocs/op and the
@@ -110,5 +110,16 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# ci is the full gate: formatting, static analysis, race-enabled tests.
-ci: fmt vet staticcheck race
+# bench/ is a Go module of its own (the end-to-end benchmark BENCHMARK.json
+# declares), so ./... above does not reach it. bench-test runs its tests
+# (~4 s); bench-e2e runs the benchmark itself, every workload in a fresh
+# process (ARGS passes flags, e.g. ARGS="-workload null_udp -seconds 5").
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	bash bench/run.sh $(ARGS)
+
+# ci is the full gate: formatting, static analysis, race-enabled tests,
+# and the benchmark harness's own tests.
+ci: fmt vet staticcheck race bench-test

@@ -7,11 +7,18 @@
 // pseudo-parallel runtime contend on a real token-passing GIL (held for
 // CPU spans, released on blocking spans and at every switch interval),
 // forks are serialized by the orchestrator exactly like Observation 2's
-// block time, pools are worker goroutines fed from a channel, and
-// functions can be bound to real Go code that reads and writes a real
-// in-memory store. Wall-clock scheduling noise makes results
+// block time, pools are worker goroutines pulling from a dispatch queue,
+// and functions can be bound to real Go code that reads and writes a
+// real in-memory store. Wall-clock scheduling noise makes results
 // non-deterministic — that is the point; tests assert envelopes, not
 // equalities.
+//
+// A plan is compiled once (Compile) and run many times (Program.Run) on
+// an absolute schedule: every thread of control carries a cursor, its
+// nominal position since the request began, and sleeps *until* the
+// cursor's wall instant instead of *for* a duration, so a late wake-up
+// is repaid by the next wait instead of piling up (DESIGN.md, "Absolute
+// schedule").
 package live
 
 import (
@@ -19,14 +26,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chiron/internal/behavior"
-	"chiron/internal/dag"
 	"chiron/internal/model"
 	"chiron/internal/obs"
 	"chiron/internal/storage"
-	"chiron/internal/wrap"
 )
 
 // Ctx is handed to bound functions: access to the shared intermediate
@@ -58,12 +64,17 @@ type Options struct {
 	Bindings map[string]Fn
 	// Timeout aborts the request (default 30s wall time).
 	Timeout time.Duration
-	// Rec, when non-nil, receives wall-clock spans and instant events
-	// (package obs): request/stage/wrap/function spans plus fork, GIL
-	// token acquire/switch/release and IPC/RPC events, stamped in
-	// nominal time (wall divided by Scale). Live traces are envelopes,
-	// not byte-stable artifacts.
+	// Rec, when non-nil, receives spans and instant events (package
+	// obs): request/stage/wrap/function spans plus fork, GIL token
+	// acquire/switch/release and IPC/RPC events, stamped in nominal
+	// time from the schedule's cursors (the request span alone ends at
+	// the wall-measured E2E). Live traces are envelopes, not byte-stable
+	// artifacts.
 	Rec obs.Recorder
+	// Rand supplies the uniform [0,1) draws that decide which calls
+	// take a segment's heavy tail; nil uses the math/rand/v2 global.
+	// Runs draw from it concurrently, so it must be safe for that.
+	Rand func() float64
 }
 
 func (o *Options) scale() float64 {
@@ -73,8 +84,7 @@ func (o *Options) scale() float64 {
 	return o.Scale
 }
 
-// FnTiming is one function's measured schedule (nominal time: wall time
-// divided by Scale).
+// FnTiming is one function's place on the schedule (nominal time).
 type FnTiming struct {
 	Name    string
 	Stage   int
@@ -85,8 +95,14 @@ type FnTiming struct {
 
 // Result is one live request.
 type Result struct {
-	// E2E is the nominal end-to-end latency.
+	// E2E is the nominal end-to-end latency: measured wall time divided
+	// by Scale.
 	E2E time.Duration
+	// Scheduled is where the schedule itself ended: the root cursor,
+	// nominal and independent of Scale. E2E/Scheduled is the executor's
+	// own overhead (late wake-ups, bookkeeping); Scheduled against the
+	// plan's predicted latency is model disagreement.
+	Scheduled time.Duration
 	// Functions in completion order.
 	Functions []FnTiming
 	// Store is the final intermediate-data store (bound functions'
@@ -94,59 +110,141 @@ type Result struct {
 	Store *storage.MemStore
 }
 
-// Run executes one request of w under plan.
-func Run(w *dag.Workflow, plan *wrap.Plan, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), w, plan, opt)
-}
-
-// RunCtx executes one request of w under plan, honouring the parent
+// Run executes one request of the compiled plan, honouring the parent
 // context: cancelling parent aborts the request between (and inside)
 // segments, and a parent deadline acts exactly like Options.Timeout. The
 // gateway (internal/serve) uses this to enforce per-request deadlines and
 // to drain cleanly on shutdown. When both a parent deadline and
 // Options.Timeout are set, the earlier one wins; when neither is set the
 // 30s default backstop applies.
-func RunCtx(parent context.Context, w *dag.Workflow, plan *wrap.Plan, opt Options) (*Result, error) {
-	if err := plan.Validate(w); err != nil {
-		return nil, err
-	}
+func (p *Program) Run(parent context.Context, opt Options) (*Result, error) {
 	if opt.Timeout <= 0 {
 		if _, hasDeadline := parent.Deadline(); !hasDeadline {
 			opt.Timeout = 30 * time.Second
 		}
 	}
-	var cancel context.CancelFunc
 	ctx := parent
-	if opt.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(parent, opt.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(parent)
+	if len(opt.Bindings) > 0 {
+		// Bound code watches Ctx.Context, so the timeout must be a real
+		// context; replayed segments only wait on the schedule, where
+		// the timeout is one more instant to compare against.
+		var cancel context.CancelFunc
+		if opt.Timeout > 0 {
+			ctx, cancel = context.WithTimeout(parent, opt.Timeout)
+		} else {
+			ctx, cancel = context.WithCancel(parent)
+		}
+		defer cancel()
+		opt.Timeout = 0
 	}
-	defer cancel()
+	r := runnerPool.Get().(*runner)
+	res, err := r.run(ctx, p, opt)
+	*r = runner{tids: r.tids[:0]}
+	runnerPool.Put(r)
+	return res, err
+}
 
-	r := &runner{
-		opt:     opt,
-		ctx:     ctx,
-		store:   storage.NewMem(),
-		t0:      time.Now(),
-		tids:    map[int]int{},
-		verbose: obs.IsVerbose(opt.Rec),
+// runner is one request's shared state; runners are pooled.
+type runner struct {
+	p       *Program
+	opt     Options
+	ctx     context.Context
+	done    <-chan struct{}
+	scale   float64
+	timeout time.Duration // wall offset from t0 past which waits abort; 0 = none
+	t0      time.Time
+	verbose bool // recorder wants per-quantum GIL instants
+	expired atomic.Bool
+
+	mu     sync.Mutex
+	res    *Result
+	runErr error
+	tids   []int // per-sandbox function-row allocator (tracing)
+}
+
+var runnerPool = sync.Pool{New: func() any { return new(runner) }}
+
+// thread is one thread of control's position on the schedule. It lives
+// on its goroutine's stack.
+type thread struct {
+	// at is the cursor: nominal time since the request began.
+	at time.Duration
+	// timer is the goroutine's one reusable timer, taken on first use.
+	timer *time.Timer
+}
+
+// timerPool holds stopped, drained timers.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// retire returns the thread's timer once its goroutine is done waiting.
+func (th *thread) retire() {
+	if th.timer != nil {
+		timerPool.Put(th.timer)
+		th.timer = nil
 	}
-	for si := range w.Stages {
-		wraps, err := plan.StageWraps(w, si)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.runStage(si, wraps); err != nil {
-			return nil, err
-		}
+}
+
+// join collects the cursors of the threads a parent started: the parent
+// resumes at the latest of them.
+type join struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	end time.Duration
+}
+
+// newJoin is nil, and costs nothing, when there is nobody to wait for.
+func newJoin(children int) *join {
+	if children <= 0 {
+		return nil
 	}
-	res := &Result{
-		E2E:       r.nominalSince(r.t0),
-		Functions: r.timings,
-		Store:     r.store,
+	j := new(join)
+	j.wg.Add(children)
+	return j
+}
+
+// done ends a child thread at its cursor.
+func (j *join) done(th *thread) {
+	th.retire()
+	j.mu.Lock()
+	j.end = max(j.end, th.at)
+	j.mu.Unlock()
+	j.wg.Done()
+}
+
+// wait blocks until every child is done and moves th past them.
+func (j *join) wait(th *thread) {
+	if j != nil {
+		j.wg.Wait()
+		th.at = max(th.at, j.end)
 	}
-	if rec := r.opt.Rec; rec != nil {
+}
+
+func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, error) {
+	r.p, r.opt, r.ctx, r.done = p, opt, ctx, ctx.Done()
+	r.scale, r.timeout = opt.scale(), opt.Timeout
+	r.verbose = obs.IsVerbose(opt.Rec)
+	r.res = &Result{Functions: make([]FnTiming, 0, p.nFns), Store: storage.NewMem()}
+	if opt.Rec != nil {
+		r.tids = append(r.tids, make([]int, p.nSandboxes)...)
+	}
+	r.t0 = time.Now()
+
+	var th thread
+	var err error
+	for si := 0; si < len(p.stages) && err == nil; si++ {
+		err = r.runStage(&th, si)
+	}
+	th.retire()
+	if err != nil {
+		return nil, err
+	}
+	res := r.res
+	res.E2E, res.Scheduled = r.nominalNow(), th.at
+	if rec := opt.Rec; rec != nil {
 		if tr, ok := rec.(obs.Namer); ok {
 			tr.NameProcess(0, "request")
 		}
@@ -155,28 +253,12 @@ func RunCtx(parent context.Context, w *dag.Workflow, plan *wrap.Plan, opt Option
 		// an allocation the always-on flight path shouldn't pay.
 		var args []obs.Arg
 		if r.verbose {
-			args = []obs.Arg{obs.A("workflow", w.Name), obs.A("stages", len(w.Stages))}
+			args = []obs.Arg{obs.A("workflow", p.name), obs.A("stages", len(p.stages))}
 		}
-		rec.RecordSpan(obs.Span{
-			PID: 0, TID: 0, Name: "request " + w.Name, Cat: obs.CatRequest,
-			Start: 0, End: res.E2E,
-			Args: args,
-		})
+		// The request alone ends on the clock, not on the schedule.
+		r.span(0, 0, p.reqName, obs.CatRequest, 0, res.E2E, args...)
 	}
 	return res, nil
-}
-
-type runner struct {
-	opt     Options
-	ctx     context.Context
-	store   *storage.MemStore
-	t0      time.Time
-	verbose bool // recorder wants per-quantum GIL instants
-
-	mu      sync.Mutex
-	timings []FnTiming
-	runErr  error
-	tids    map[int]int // per-sandbox function-row allocator (tracing)
 }
 
 // Track-name tables: stage/wrap/sandbox indices are single digits in
@@ -229,34 +311,74 @@ func (r *runner) nextTID(sandbox int) int {
 	return r.tids[sandbox]
 }
 
-// instant emits a point event at the current nominal time.
-func (r *runner) instant(pid, tid int, name, cat string, args ...obs.Arg) {
-	if r.opt.Rec == nil {
-		return
-	}
-	r.opt.Rec.RecordInstant(obs.Instant{
-		PID: pid, TID: tid, Name: name, Cat: cat,
-		At: r.nominalSince(r.t0), Args: args,
-	})
+// span emits a span between two cursors; args are verbose-only.
+func (r *runner) span(pid, tid int, name, cat string, from, to time.Duration, args ...obs.Arg) {
+	r.opt.Rec.RecordSpan(obs.Span{PID: pid, TID: tid, Name: name, Cat: cat, Start: from, End: to, Args: args})
 }
 
-// nominalSince converts a wall-clock span back to nominal time.
-func (r *runner) nominalSince(from time.Time) time.Duration {
-	return time.Duration(float64(time.Since(from)) / r.opt.scale())
+// nominalNow is the wall time since the request began, in nominal time.
+func (r *runner) nominalNow() time.Duration {
+	return time.Duration(float64(time.Since(r.t0)) / r.scale)
 }
 
-// sleep waits d nominal time (scaled), honouring cancellation.
-func (r *runner) sleep(d time.Duration) {
-	if d <= 0 {
-		return
+// sleep moves th d nominal time down the schedule and waits for the
+// wall clock to catch up.
+func (r *runner) sleep(th *thread, d time.Duration) {
+	if d > 0 {
+		th.at += d
+		r.wait(th)
 	}
-	scaled := time.Duration(float64(d) * r.opt.scale())
-	t := time.NewTimer(scaled)
-	defer t.Stop()
+}
+
+// wait blocks until the wall instant of th's cursor, or returns at once
+// when that instant has passed: a late wake-up leaves the thread behind
+// its schedule, and the waits that follow are shortened or skipped until
+// it has caught up. It never spins — the callers share the CPUs — so
+// what survives of a serial chain's timer error is the last wait's.
+// Cancellation and the schedule's timeout cut a wait short.
+func (r *runner) wait(th *thread) {
+	wall := time.Duration(float64(th.at) * r.scale)
+	late := r.timeout > 0 && wall > r.timeout
+	if late {
+		wall = r.timeout
+	}
+	if d := wall - time.Since(r.t0); d > 0 {
+		select {
+		case <-r.done:
+			return
+		default:
+		}
+		if th.timer == nil {
+			th.timer = timerPool.Get().(*time.Timer)
+		}
+		th.timer.Reset(d)
+		select {
+		case <-th.timer.C:
+		case <-r.done:
+			// The stopped timer may still deliver a tick; drop it
+			// instead of recycling one that could fire a later wait.
+			th.timer.Stop()
+			th.timer = nil
+			return
+		}
+	}
+	if late {
+		r.expired.Store(true)
+	}
+}
+
+// aborted reports why the request must stop: the context's cause, or
+// the schedule's timeout.
+func (r *runner) aborted() error {
 	select {
-	case <-t.C:
-	case <-r.ctx.Done():
+	case <-r.done:
+		return context.Cause(r.ctx)
+	default:
 	}
+	if r.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func (r *runner) fail(err error) {
@@ -267,61 +389,29 @@ func (r *runner) fail(err error) {
 	r.mu.Unlock()
 }
 
-func (r *runner) record(t FnTiming) {
-	r.mu.Lock()
-	r.timings = append(r.timings, t)
-	r.mu.Unlock()
-}
-
 // runStage executes one stage: the local wrap in place, remote wraps with
 // invocation stride and RPC cost, all joined at a barrier (stages are
-// strictly ordered).
-func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
-	stageStart := r.nominalSince(r.t0)
-	var wg sync.WaitGroup
-	remoteRank := 0
-	for i := range wraps {
-		sw := wraps[i]
-		delay := time.Duration(0)
-		rpc := time.Duration(0)
-		if sw.Sandbox != 0 {
-			remoteRank++
-			delay = time.Duration(remoteRank) * r.opt.Const.InvokeCost
-			rpc = r.opt.Const.RPCCost
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.sleep(delay)
-			r.runWrap(si, sw)
-			if rpc > 0 {
-				from := r.nominalSince(r.t0)
-				r.sleep(rpc)
-				if rec := r.opt.Rec; rec != nil {
-					rec.RecordSpan(obs.Span{
-						PID: sw.Sandbox + 1, TID: 0, Name: "rpc", Cat: obs.CatRPC,
-						Start: from, End: r.nominalSince(r.t0),
-					})
-				}
-			}
-		}()
+// strictly ordered). The last wrap runs on the caller's goroutine, so a
+// one-wrap stage starts none.
+func (r *runner) runStage(th *thread, si int) error {
+	wraps := r.p.stages[si]
+	start := th.at
+	last := len(wraps) - 1
+	j := newJoin(last)
+	for i := range wraps[:last] {
+		go r.wrapThread(j, si, &wraps[i], start)
 	}
-	wg.Wait()
-	if rec := r.opt.Rec; rec != nil {
+	r.invokeWrap(th, si, &wraps[last])
+	j.wait(th)
+	if r.opt.Rec != nil {
 		var args []obs.Arg
 		if r.verbose {
 			args = []obs.Arg{obs.A("wraps", len(wraps))}
 		}
-		rec.RecordSpan(obs.Span{
-			PID: 0, TID: 0, Name: stageName(si), Cat: obs.CatStage,
-			Start: stageStart, End: r.nominalSince(r.t0),
-			Args: args,
-		})
+		r.span(0, 0, stageName(si), obs.CatStage, start, th.at, args...)
 	}
-	select {
-	case <-r.ctx.Done():
-		return fmt.Errorf("live: request aborted in stage %d: %w", si, context.Cause(r.ctx))
-	default:
+	if cause := r.aborted(); cause != nil {
+		return fmt.Errorf("live: request aborted in stage %d: %w", si, cause)
 	}
 	r.mu.Lock()
 	err := r.runErr
@@ -329,321 +419,292 @@ func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
 	return err
 }
 
+func (r *runner) wrapThread(j *join, si int, wp *wrapProg, at time.Duration) {
+	th := thread{at: at}
+	r.invokeWrap(&th, si, wp)
+	j.done(&th)
+}
+
+// invokeWrap runs one wrap from the stage's start: a remote wrap is
+// invoked at its stride and answers after an RPC.
+func (r *runner) invokeWrap(th *thread, si int, wp *wrapProg) {
+	if wp.remote == 0 {
+		r.runWrap(th, si, wp)
+		return
+	}
+	r.sleep(th, time.Duration(wp.remote)*r.opt.Const.InvokeCost)
+	r.runWrap(th, si, wp)
+	from := th.at
+	r.sleep(th, r.opt.Const.RPCCost)
+	if r.opt.Rec != nil && th.at > from {
+		r.span(wp.sandbox+1, 0, "rpc", obs.CatRPC, from, th.at)
+	}
+}
+
 // runWrap executes one wrap's process groups: the resident main group
 // immediately, forked groups serialized by block time; results gathered
-// over pipes (modelled as a final sleep).
-func (r *runner) runWrap(si int, sw wrap.StageWrap) {
-	pid := sw.Sandbox + 1
+// over pipes (modelled as a final sleep). The orchestrator becomes its
+// last process instead of starting a goroutine for it.
+func (r *runner) runWrap(th *thread, si int, wp *wrapProg) {
+	pid := wp.sandbox + 1
 	if tr, ok := r.opt.Rec.(obs.Namer); ok {
-		tr.NameProcess(pid, sandboxName(sw.Sandbox))
+		tr.NameProcess(pid, sandboxName(wp.sandbox))
 	}
-	wrapStart := r.nominalSince(r.t0)
-	if sw.Cfg.Pool {
-		r.runPool(si, sw)
-		r.emitWrapSpan(si, pid, wrapStart)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, g := range sw.Procs {
-		g := g
-		resident := g.Proc == 0 && !sw.Cfg.ForkPerRequest
-		if !resident {
-			// The orchestrator issues this fork, then blocks the next
-			// one (Observation 2's sequential forking).
-			r.instant(pid, 0, "fork", obs.CatFork, obs.A("proc", g.Proc))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.sleep(r.opt.Const.ProcStartup)
-				r.runProcess(si, sw, g)
-			}()
-			r.sleep(r.opt.Const.ProcBlockStep)
-			continue
+	start := th.at
+	if wp.cfg.Pool {
+		r.runPool(th, si, wp)
+	} else {
+		last := len(wp.procs) - 1
+		j := newJoin(last)
+		for i := range wp.procs {
+			pp := &wp.procs[i]
+			if !pp.resident && r.opt.Rec != nil {
+				r.opt.Rec.RecordInstant(obs.Instant{
+					PID: pid, TID: 0, Name: "fork", Cat: obs.CatFork,
+					At: th.at, Args: []obs.Arg{obs.A("proc", pp.proc)},
+				})
+			}
+			if i == last {
+				r.runProcess(th, si, wp, pp)
+				break
+			}
+			go r.procThread(j, si, wp, pp, th.at)
+			if !pp.resident {
+				// The orchestrator issued a fork, which blocks the next
+				// one (Observation 2's sequential forking).
+				r.sleep(th, r.opt.Const.ProcBlockStep)
+			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runProcess(si, sw, g)
-		}()
-	}
-	wg.Wait()
-	if n := len(sw.Procs); n > 1 {
-		from := r.nominalSince(r.t0)
-		r.sleep(time.Duration(n-1) * r.opt.Const.IPCCost)
-		if rec := r.opt.Rec; rec != nil {
-			rec.RecordSpan(obs.Span{
-				PID: pid, TID: 0, Name: "ipc", Cat: obs.CatIPC,
-				Start: from, End: r.nominalSince(r.t0),
-			})
+		j.wait(th)
+		if last > 0 {
+			from := th.at
+			r.sleep(th, time.Duration(last)*r.opt.Const.IPCCost)
+			if r.opt.Rec != nil {
+				r.span(pid, 0, "ipc", obs.CatIPC, from, th.at)
+			}
 		}
 	}
-	r.emitWrapSpan(si, pid, wrapStart)
-}
-
-// emitWrapSpan closes the wrap's orchestrator-row span.
-func (r *runner) emitWrapSpan(si, pid int, from time.Duration) {
-	if rec := r.opt.Rec; rec != nil {
+	if r.opt.Rec != nil {
 		var args []obs.Arg
 		if r.verbose {
-			args = []obs.Arg{obs.A("stage", si), obs.A("sandbox", pid-1)}
+			args = []obs.Arg{obs.A("stage", si), obs.A("sandbox", wp.sandbox)}
 		}
-		rec.RecordSpan(obs.Span{
-			PID: pid, TID: 0, Name: wrapName(si), Cat: obs.CatWrap,
-			Start: from, End: r.nominalSince(r.t0),
-			Args: args,
-		})
+		r.span(pid, 0, wrapName(si), obs.CatWrap, start, th.at, args...)
 	}
 }
 
-// runProcess executes one process's functions as threads sharing a GIL
-// (for pseudo-parallel runtimes) or truly in parallel (GIL-free).
-func (r *runner) runProcess(si int, sw wrap.StageWrap, g wrap.ProcGroup) {
-	if len(g.Functions) == 0 {
-		return
+func (r *runner) procThread(j *join, si int, wp *wrapProg, pp *procProg, at time.Duration) {
+	th := thread{at: at}
+	r.runProcess(&th, si, wp, pp)
+	j.done(&th)
+}
+
+// cpuGate is what a function's CPU spans contend for: a process's GIL
+// token or a pool's cpuset slots. The channel's values are cursors — a
+// holder hands over the instant it let go, so time spent blocked on the
+// gate is on the schedule too.
+type cpuGate struct {
+	// slots holds the free tokens; nil when nothing contends.
+	slots chan time.Duration
+	// quantum makes a holder yield every switch interval so waiters
+	// interleave, exactly like Figure 2's timeout-triggered drop; zero
+	// holds for the whole span.
+	quantum time.Duration
+	// narrate emits the GIL's acquire/switch/release instants. They are
+	// for verbose recorders only: the always-on flight recorder pays for
+	// the coarse span tree, not for hundreds of scheduler events per CPU
+	// segment.
+	narrate bool
+}
+
+func newGate(slots int, at time.Duration) chan time.Duration {
+	c := make(chan time.Duration, slots)
+	for i := 0; i < slots; i++ {
+		c <- at
 	}
-	var lock *gilLock
-	if g.Functions[0].Runtime.PseudoParallel() {
-		lock = newGIL(time.Duration(float64(r.opt.Const.GILInterval) * r.opt.scale()))
+	return c
+}
+
+func (g *cpuGate) acquire(th *thread) {
+	if g.slots != nil {
+		th.at = max(th.at, <-g.slots)
 	}
-	var wg sync.WaitGroup
-	for i, fn := range g.Functions {
-		fn := fn
+}
+
+func (g *cpuGate) release(th *thread) {
+	if g.slots != nil {
+		g.slots <- th.at
+	}
+}
+
+// runProcess executes one process: forked ones start up first, then the
+// functions run as threads sharing a GIL (pseudo-parallel runtimes) or
+// truly in parallel (GIL-free). The process main runs the last function
+// itself, so a single-function process starts no goroutine and needs no
+// token.
+func (r *runner) runProcess(th *thread, si int, wp *wrapProg, pp *procProg) {
+	if !pp.resident {
+		r.sleep(th, r.opt.Const.ProcStartup)
+	}
+	gate := cpuGate{quantum: r.opt.Const.GILInterval, narrate: pp.gil && r.verbose}
+	last := len(pp.fns) - 1
+	j := newJoin(last)
+	if last > 0 && pp.gil {
+		gate.slots = newGate(1, th.at)
+	}
+	for i, fn := range pp.fns {
 		// Thread clone cost, paid serially by the process main.
-		if len(g.Functions) > 1 || g.Proc == 0 {
-			r.sleep(r.opt.Const.ThreadStartup)
+		if pp.clone {
+			r.sleep(th, r.opt.Const.ThreadStartup)
 		}
-		_ = i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runFunction(si, sw.Sandbox, fn, lock)
-		}()
+		if i == last {
+			r.runFunction(th, si, wp.sandbox, fn, gate)
+			break
+		}
+		go r.fnThread(j, si, wp.sandbox, fn, gate, th.at)
 	}
-	wg.Wait()
+	j.wait(th)
 }
 
-// runPool executes the wrap's functions on a worker pool.
-func (r *runner) runPool(si int, sw wrap.StageWrap) {
-	var fns []*behavior.Spec
-	for _, g := range sw.Procs {
-		fns = append(fns, g.Functions...)
-	}
-	workers := sw.Cfg.Workers
-	if workers <= 0 {
-		workers = len(fns)
-	}
-	// CPU slots bound concurrent CPU spans; pool workers are GIL-free
-	// processes.
-	cpus := newCPUSet(max(sw.Cfg.CPUs, 1))
-	tasks := make(chan *behavior.Spec)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fn := range tasks {
-				r.runFunctionOnCPUs(si, sw.Sandbox, fn, cpus)
-			}
-		}()
-	}
-	for _, fn := range fns {
-		r.sleep(r.opt.Const.PoolDispatch)
-		select {
-		case tasks <- fn:
-		case <-r.ctx.Done():
-		}
-	}
-	close(tasks)
-	wg.Wait()
+func (r *runner) fnThread(j *join, si, sandbox int, fn *behavior.Spec, gate cpuGate, at time.Duration) {
+	th := thread{at: at}
+	r.runFunction(&th, si, sandbox, fn, gate)
+	j.done(&th)
 }
 
-// runFunction executes one function: bound code if present, spec replay
-// otherwise, under the process GIL when one exists.
-func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock) {
-	start := r.nominalSince(r.t0)
-	pid := sandbox + 1
-	tid := 0
-	var gilEv func(string)
+// poolRun is one pool wrap's dispatch state.
+type poolRun struct {
+	join
+	start time.Duration // when the dispatcher began submitting
+	next  atomic.Int64  // next task to hand out
+	gate  cpuGate
+}
+
+// runPool executes the wrap's functions on a worker pool: the dispatcher
+// submits the tasks serially in the compiled order, free workers take
+// them in that order, and CPU spans occupy a cpuset slot (pool workers
+// are GIL-free processes). The caller is one of the workers.
+func (r *runner) runPool(th *thread, si int, wp *wrapProg) {
+	pr := &poolRun{start: th.at}
+	pr.gate.slots = newGate(max(wp.cfg.CPUs, 1), th.at)
+	pr.wg.Add(wp.workers - 1)
+	for i := 1; i < wp.workers; i++ {
+		go r.poolThread(pr, si, wp, th.at)
+	}
+	r.poolWorker(th, pr, si, wp)
+	pr.wait(th)
+}
+
+func (r *runner) poolThread(pr *poolRun, si int, wp *wrapProg, at time.Duration) {
+	th := thread{at: at}
+	r.poolWorker(&th, pr, si, wp)
+	pr.done(&th)
+}
+
+// poolWorker takes tasks until none are left or the request is aborted.
+// Task k was submitted after k earlier dispatches (Eq. 4's (j-1) x
+// T_Block), so a worker that is free sooner waits for it.
+func (r *runner) poolWorker(th *thread, pr *poolRun, si int, wp *wrapProg) {
+	for r.aborted() == nil {
+		k := int(pr.next.Add(1)) - 1
+		if k >= len(wp.tasks) {
+			return
+		}
+		if issued := pr.start + time.Duration(k)*r.opt.Const.PoolDispatch; issued > th.at {
+			th.at = issued
+			r.wait(th)
+		}
+		r.runFunction(th, si, wp.sandbox, wp.tasks[k], pr.gate)
+	}
+}
+
+// runFunction executes one function on th: bound code if present, spec
+// replay otherwise, taking the gate for CPU spans.
+func (r *runner) runFunction(th *thread, si, sandbox int, fn *behavior.Spec, gate cpuGate) {
+	start := th.at
+	pid, tid := sandbox+1, 0
 	if r.opt.Rec != nil {
 		tid = r.nextTID(sandbox)
-		// Per-quantum GIL handoff instants are verbose-only: the
-		// always-on flight recorder pays for the coarse span tree, not
-		// for hundreds of scheduler events per CPU segment.
-		if r.verbose {
-			gilEv = func(name string) { r.instant(pid, tid, name, obs.CatGIL) }
-		}
 	}
 	if bound, ok := r.opt.Bindings[fn.Name]; ok {
-		if lock != nil {
-			lock.acquire()
-			if gilEv != nil {
-				gilEv(obs.GILAcquire)
-			}
+		gate.acquire(th)
+		if gate.narrate {
+			r.gilEvent(pid, tid, obs.GILAcquire, th.at)
 		}
-		err := bound(&Ctx{Store: r.store, Spec: fn, Context: r.ctx})
-		if lock != nil {
-			if gilEv != nil {
-				gilEv(obs.GILRelease)
-			}
-			lock.release()
+		err := bound(&Ctx{Store: r.res.Store, Spec: fn, Context: r.ctx})
+		// Real code takes real time: the schedule resumes from the clock.
+		th.at = max(th.at, r.nominalNow())
+		if gate.narrate {
+			r.gilEvent(pid, tid, obs.GILRelease, th.at)
 		}
+		gate.release(th)
 		if err != nil {
 			r.fail(fmt.Errorf("live: function %s: %w", fn.Name, err))
 		}
 	} else {
 		for _, seg := range fn.Segments {
-			dur := segmentDur(seg)
-			if seg.Kind.Blocking() || lock == nil {
-				r.sleep(dur)
-				continue
+			if dur := r.segmentDur(seg); seg.Kind.Blocking() {
+				r.sleep(th, dur)
+			} else {
+				r.cpuSpan(th, dur, gate, pid, tid)
 			}
-			// CPU span: hold the GIL, yielding every switch interval.
-			lock.run(func(quantum time.Duration) {
-				r.sleepWall(quantum)
-			}, time.Duration(float64(dur)*r.opt.scale()), gilEv)
 		}
 	}
-	finish := r.nominalSince(r.t0)
-	if rec := r.opt.Rec; rec != nil {
+	if r.opt.Rec != nil {
 		var args []obs.Arg
 		if r.verbose {
 			args = []obs.Arg{obs.A("stage", si)}
 		}
-		rec.RecordSpan(obs.Span{
-			PID: pid, TID: tid, Name: fn.Name, Cat: obs.CatFunction,
-			Start: start, End: finish,
-			Args: args,
-		})
+		r.span(pid, tid, fn.Name, obs.CatFunction, start, th.at, args...)
 	}
-	r.record(FnTiming{Name: fn.Name, Stage: si, Sandbox: sandbox, Start: start, Finish: finish})
+	r.mu.Lock()
+	r.res.Functions = append(r.res.Functions, FnTiming{Name: fn.Name, Stage: si, Sandbox: sandbox, Start: start, Finish: th.at})
+	r.mu.Unlock()
 }
 
-// runFunctionOnCPUs executes a pool task: CPU spans occupy a cpu slot.
-func (r *runner) runFunctionOnCPUs(si, sandbox int, fn *behavior.Spec, cpus *cpuSet) {
-	start := r.nominalSince(r.t0)
-	pid := sandbox + 1
-	tid := 0
-	if r.opt.Rec != nil {
-		tid = r.nextTID(sandbox)
-	}
-	if bound, ok := r.opt.Bindings[fn.Name]; ok {
-		cpus.acquire()
-		err := bound(&Ctx{Store: r.store, Spec: fn, Context: r.ctx})
-		cpus.release()
-		if err != nil {
-			r.fail(fmt.Errorf("live: function %s: %w", fn.Name, err))
+// cpuSpan spends dur of CPU time holding the gate, one quantum at a
+// time (in one piece when nothing contends). The trace sees the token protocol: one acquire when the span
+// first takes the token, a switch at every intermediate re-acquisition,
+// one release at the end — so a CPU span always carries exactly one
+// gil.acquire.
+func (r *runner) cpuSpan(th *thread, dur time.Duration, gate cpuGate, pid, tid int) {
+	name := obs.GILAcquire
+	for dur > 0 {
+		q := dur
+		if gate.slots != nil && gate.quantum > 0 && gate.quantum < q {
+			q = gate.quantum
 		}
-	} else {
-		for _, seg := range fn.Segments {
-			dur := segmentDur(seg)
-			if seg.Kind.Blocking() {
-				r.sleep(dur)
-				continue
-			}
-			cpus.acquire()
-			r.sleep(dur)
-			cpus.release()
+		gate.acquire(th)
+		if gate.narrate {
+			r.gilEvent(pid, tid, name, th.at)
+			name = obs.GILSwitch
 		}
-	}
-	finish := r.nominalSince(r.t0)
-	if rec := r.opt.Rec; rec != nil {
-		var args []obs.Arg
-		if r.verbose {
-			args = []obs.Arg{obs.A("stage", si)}
+		r.sleep(th, q)
+		dur -= q
+		if gate.narrate && dur <= 0 {
+			r.gilEvent(pid, tid, obs.GILRelease, th.at)
 		}
-		rec.RecordSpan(obs.Span{
-			PID: pid, TID: tid, Name: fn.Name, Cat: obs.CatFunction,
-			Start: start, End: finish,
-			Args: args,
-		})
+		gate.release(th)
 	}
-	r.record(FnTiming{Name: fn.Name, Stage: si, Sandbox: sandbox, Start: start, Finish: finish})
+}
+
+func (r *runner) gilEvent(pid, tid int, name string, at time.Duration) {
+	r.opt.Rec.RecordInstant(obs.Instant{PID: pid, TID: tid, Name: name, Cat: obs.CatGIL, At: at})
 }
 
 // segmentDur samples one live execution's duration for a segment:
 // Dur, plus the heavy tail with probability TailProb. Only the live
 // executor rolls this dice — the engine, profiler and predictor always
 // see Dur, so a tail is unmodeled straggler noise by construction.
-func segmentDur(seg behavior.Segment) time.Duration {
-	if seg.TailProb > 0 && seg.TailDur > 0 && rand.Float64() < seg.TailProb {
-		return seg.Dur + seg.TailDur
+func (r *runner) segmentDur(seg behavior.Segment) time.Duration {
+	if seg.TailProb > 0 && seg.TailDur > 0 {
+		draw := rand.Float64
+		if r.opt.Rand != nil {
+			draw = r.opt.Rand
+		}
+		if draw() < seg.TailProb {
+			return seg.Dur + seg.TailDur
+		}
 	}
 	return seg.Dur
 }
-
-// sleepWall sleeps a wall-clock duration (already scaled).
-func (r *runner) sleepWall(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-r.ctx.Done():
-	}
-}
-
-// ---- GIL emulation ----
-
-// gilLock is a token-passing global interpreter lock: one holder at a
-// time; holders of long CPU spans yield at every switch interval so
-// waiters interleave, exactly like Figure 2's timeout-triggered drop.
-type gilLock struct {
-	token   chan struct{}
-	quantum time.Duration
-}
-
-func newGIL(quantum time.Duration) *gilLock {
-	g := &gilLock{token: make(chan struct{}, 1), quantum: quantum}
-	g.token <- struct{}{}
-	return g
-}
-
-func (g *gilLock) acquire() { <-g.token }
-func (g *gilLock) release() { g.token <- struct{}{} }
-
-// run executes total wall-time of CPU work in quantum-sized slices,
-// acquiring the token for each slice. ev (nil when tracing is off)
-// observes the token protocol: one acquire when the CPU span first
-// takes the token, a switch at every intermediate re-acquisition
-// (the timeout-triggered drop of Figure 2), one release at the end —
-// so a CPU span always carries exactly one gil.acquire.
-func (g *gilLock) run(slice func(time.Duration), total time.Duration, ev func(string)) {
-	first := true
-	for total > 0 {
-		q := g.quantum
-		if q <= 0 || q > total {
-			q = total
-		}
-		g.acquire()
-		if ev != nil {
-			if first {
-				ev(obs.GILAcquire)
-				first = false
-			} else {
-				ev(obs.GILSwitch)
-			}
-		}
-		slice(q)
-		total -= q
-		if ev != nil && total <= 0 {
-			ev(obs.GILRelease)
-		}
-		g.release()
-	}
-}
-
-// cpuSet is a counted semaphore standing for a cpuset.
-type cpuSet struct{ slots chan struct{} }
-
-func newCPUSet(n int) *cpuSet {
-	c := &cpuSet{slots: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		c.slots <- struct{}{}
-	}
-	return c
-}
-
-func (c *cpuSet) acquire() { <-c.slots }
-func (c *cpuSet) release() { c.slots <- struct{}{} }

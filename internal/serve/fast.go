@@ -174,15 +174,13 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 		winner int
 	)
 	execStart := time.Now()
-	if delay := a.hedgeDelay(wf); delay > 0 {
-		res, hedged, winner, err = a.runHedged(ctx, ps, beh, runRec, delay)
+	prog, err := ps.program(beh)
+	if err != nil {
+		ps.pool.release(time.Now())
+	} else if delay := a.hedgeDelay(wf); delay > 0 {
+		res, hedged, winner, err = a.runHedged(ctx, ps, prog, runRec, delay)
 	} else {
-		res, err = live.RunCtx(ctx, beh, ps.plan, live.Options{
-			Const:   a.opt.Const,
-			Scale:   a.opt.Scale,
-			Timeout: a.opt.RequestTimeout,
-			Rec:     runRec,
-		})
+		res, err = prog.Run(ctx, a.liveOptions(runRec))
 		ps.pool.release(time.Now())
 	}
 	if err != nil {
@@ -245,6 +243,17 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 		Hedged:       hedged,
 		TraceID:      traceID,
 	}, nil
+}
+
+// liveOptions are the executor options every attempt of a request runs
+// with.
+func (a *App) liveOptions(rec obs.Recorder) live.Options {
+	return live.Options{
+		Const:   a.opt.Const,
+		Scale:   a.opt.Scale,
+		Timeout: a.opt.RequestTimeout,
+		Rec:     rec,
+	}
 }
 
 // nominalSince converts elapsed wall time back into nominal (unscaled)

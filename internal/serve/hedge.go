@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chiron/internal/dag"
 	"chiron/internal/live"
 	"chiron/internal/obs"
 )
@@ -62,7 +61,7 @@ type hedgeAttempt struct {
 // winner reports which attempt's result was delivered (0 primary,
 // 1 hedge); hedged reports whether the second attempt was launched at
 // all.
-func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, runRec obs.Recorder, delay time.Duration) (res *live.Result, hedged bool, winner int, err error) {
+func (a *App) runHedged(ctx context.Context, ps *planState, prog *live.Program, runRec obs.Recorder, delay time.Duration) (res *live.Result, hedged bool, winner int, err error) {
 	var claim atomic.Uint32
 	done := make(chan hedgeAttempt, 2)
 	primCtx, cancelPrim := context.WithCancel(ctx)
@@ -71,12 +70,7 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 	defer cancelHedge()
 
 	run := func(rctx context.Context, idx int, cold bool) {
-		r, rerr := live.RunCtx(rctx, beh, ps.plan, live.Options{
-			Const:   a.opt.Const,
-			Scale:   a.opt.Scale,
-			Timeout: a.opt.RequestTimeout,
-			Rec:     runRec,
-		})
+		r, rerr := prog.Run(rctx, a.liveOptions(runRec))
 		ps.pool.release(time.Now())
 		won := rerr == nil && claim.CompareAndSwap(0, uint32(idx)+1)
 		done <- hedgeAttempt{res: r, err: rerr, idx: idx, cold: cold, won: won}
@@ -120,7 +114,7 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 	}
 
 	// Drain every attempt before returning. The first successful
-	// completion claims the race and cancels the loser, whose RunCtx
+	// completion claims the race and cancels the loser, whose Run
 	// tears down promptly (its sleeps select on ctx.Done); a loser that
 	// finished before the cancellation landed simply loses the CAS.
 	var win hedgeAttempt

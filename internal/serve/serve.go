@@ -37,6 +37,7 @@ import (
 
 	"chiron/internal/adapt"
 	"chiron/internal/dag"
+	"chiron/internal/live"
 	"chiron/internal/model"
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
@@ -471,6 +472,39 @@ type planState struct {
 	workflow  *dag.Workflow
 	predicted time.Duration
 	pool      *warmPool
+
+	// compiled caches plan lowered against the behaviour snapshot the
+	// epoch's requests are executing (the one mutable corner of an
+	// epoch); compileMu makes a re-registration recompile once.
+	compiled  atomic.Pointer[compiledPlan]
+	compileMu sync.Mutex
+}
+
+// compiledPlan is plan compiled against beh, or why it cannot be.
+type compiledPlan struct {
+	beh  *dag.Workflow
+	prog *live.Program
+	err  error
+}
+
+// program returns the epoch's plan compiled against beh. Requests
+// execute the *registered* behaviour, which may be newer than the one
+// the plan was built for, so the cache is keyed by the snapshot: a
+// re-registration compiles — and so re-validates the placement — once,
+// and a behaviour the plan no longer fits keeps failing with the
+// placement error the gateway reports as ErrStalePlan.
+func (ps *planState) program(beh *dag.Workflow) (*live.Program, error) {
+	if c := ps.compiled.Load(); c != nil && c.beh == beh {
+		return c.prog, c.err
+	}
+	ps.compileMu.Lock()
+	defer ps.compileMu.Unlock()
+	if c := ps.compiled.Load(); c != nil && c.beh == beh {
+		return c.prog, c.err
+	}
+	prog, err := live.Compile(beh, ps.plan)
+	ps.compiled.Store(&compiledPlan{beh: beh, prog: prog, err: err})
+	return prog, err
 }
 
 // snapshot returns the current behaviour (shared, read-only by contract:
