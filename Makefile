@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare cache-bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
+.PHONY: all build test race race-hedge bench bench-baseline bench-compare cache-bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
 
 # Benchmark regression rails: bench-baseline runs the figure/table suite
 # with -benchmem and records it as $(BENCH_JSON) (ns/op, allocs/op and the
@@ -30,6 +30,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-hedge repeats the tests that share a pooled hedge run between the
+# caller and the hedge's timer goroutine, so the race detector sees many
+# interleavings of that hand-off, not one.
+race-hedge:
+	$(GO) test -race -count=10 -run 'Hedge|Deadline|Program' ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
@@ -120,6 +126,6 @@ bench-test:
 bench-e2e:
 	bash bench/run.sh $(ARGS)
 
-# ci is the full gate: formatting, static analysis, race-enabled tests,
-# and the benchmark harness's own tests.
-ci: fmt vet staticcheck race bench-test
+# ci is the full gate: formatting, static analysis, race-enabled tests
+# (the hedge hand-off repeated), and the benchmark harness's own tests.
+ci: fmt vet staticcheck race race-hedge bench-test

@@ -17,6 +17,8 @@
 //     represented
 //   - forced: an operator asked for the next N traces via
 //     /debug/flight/force
+//   - hedged: the request itself ran a hedge attempt (a per-request
+//     event: its neighbours are not retained with it)
 //
 // plus a multi-window SLO burn-rate monitor (burn.go) whose trips both
 // alert (chiron_slo_burn_alerts_total) and mark nearby traces, so a
@@ -53,6 +55,7 @@ const (
 	ReasonBurn
 	ReasonSampled
 	ReasonForced
+	ReasonHedged
 )
 
 var reasonNames = []struct {
@@ -66,6 +69,7 @@ var reasonNames = []struct {
 	{ReasonBurn, "burn"},
 	{ReasonSampled, "sampled"},
 	{ReasonForced, "forced"},
+	{ReasonHedged, "hedged"},
 }
 
 // Strings expands the bitmask into stable tag order.
@@ -248,6 +252,9 @@ type Info struct {
 	Latency  time.Duration
 	SLO      time.Duration // admission SLO in effect (0 = none)
 	Err      error
+	// Hedged marks a request that launched a hedge attempt; its trace
+	// (which carries the hedge.armed instant) is retained as "hedged".
+	Hedged bool
 }
 
 // Retained is one kept trace.
@@ -468,6 +475,9 @@ func (f *Flight) Finish(rec *Recorder, info Info) (id uint64, kept bool) {
 	if sloViolated {
 		reasons |= ReasonSLO
 	}
+	if info.Hedged {
+		reasons |= ReasonHedged
+	}
 	if tripNow {
 		reasons |= ReasonBurn
 	}
@@ -482,10 +492,10 @@ func (f *Flight) Finish(rec *Recorder, info Info) (id uint64, kept bool) {
 		}
 	}
 
-	// Throttle quality-of-life retentions (slow/slo/burn/adapt/sampled):
-	// during systemic overload every request qualifies, and copying each
-	// one would put an O(spans) tax on the whole serving plane. Errors
-	// and operator-forced dumps bypass the budget.
+	// Throttle quality-of-life retentions (slow/slo/burn/adapt/hedged/
+	// sampled): during systemic overload every request qualifies, and
+	// copying each one would put an O(spans) tax on the whole serving
+	// plane. Errors and operator-forced dumps bypass the budget.
 	if reasons != 0 && reasons&(ReasonError|ReasonForced) == 0 &&
 		!w.retainAllow(now, f.opt.RetainPerSec) {
 		f.throttled.Inc()

@@ -219,6 +219,29 @@ func TestNoteEventCoincidenceRetention(t *testing.T) {
 	}
 }
 
+// TestRetainHedgedAlone: a hedge is a per-request event. The hedged
+// request's own trace is kept, tagged hedged, but it opens no
+// coincidence window: a plain request finishing 1 ms later is dropped.
+func TestRetainHedgedAlone(t *testing.T) {
+	f, clk := newTestFlight(Options{Coincidence: 2 * time.Second})
+	rec := f.Acquire()
+	rec.RecordInstant(obs.Instant{Name: "hedge.armed", Cat: obs.CatHedge})
+	id, kept := f.Finish(rec, Info{Workflow: "wf", Latency: time.Millisecond, Hedged: true})
+	if !kept {
+		t.Fatal("hedged request's trace dropped")
+	}
+	if l := f.List(); l[0].ID != id || !contains(l[0].Reasons, "hedged") {
+		t.Fatalf("listing = %+v, want the hedged trace tagged hedged", l)
+	}
+	clk.Advance(time.Millisecond)
+	if _, kept := finishOne(f, "wf", time.Millisecond, 0, nil); kept {
+		t.Fatalf("plain request 1ms after a hedge retained: %v", f.List()[0].Reasons)
+	}
+	if n := len(f.Annotations()); n != 0 {
+		t.Errorf("a hedge wrote %d annotations, want 0", n)
+	}
+}
+
 func TestWriteChromeRoundTrip(t *testing.T) {
 	f, _ := newTestFlight(Options{})
 	rec := f.Acquire()

@@ -44,10 +44,11 @@ type FastResult struct {
 	ColdStart   time.Duration
 	QueueWait   time.Duration
 	E2E         time.Duration
-	// InvocationID is the request's idempotent invocation id: the UDP
-	// header's client-chosen id on that plane, gateway-generated for
-	// HTTP. Hedged attempts share it, and exactly-once result delivery
-	// is guarded by it.
+	// InvocationID is the request's correlation id: the UDP header's
+	// client-chosen id on that plane, gateway-generated for HTTP. Hedged
+	// attempts share it. Nothing dedupes on it — a retransmitted datagram
+	// executes again; exactly-once delivery within a request comes from
+	// the hedge CAS.
 	InvocationID uint64
 	// Hedged reports that a second instance was leased and the same
 	// invocation re-issued on it (the first completion was returned).
@@ -79,9 +80,9 @@ func (a *App) AdmitHash(ctx context.Context, h uint64) (Admitted, error) {
 // AdmitHashID admits one invocation of the workflow registered under
 // HashName(name), blocking in the shared admission queue exactly like an
 // HTTP request (ctx bounds the queue wait; its deadline orders the
-// queue by remaining slack). id is the caller's idempotent invocation
-// id — the UDP plane passes its wire header's id so hedged re-issues
-// and completion replies stay correlated end to end. On the happy path
+// queue by remaining slack). id is the caller's correlation id — the
+// UDP plane passes its wire header's id so hedged re-issues and
+// completion replies stay correlated end to end. On the happy path
 // — index hit, active plan, free slot — it performs zero heap
 // allocations. Errors: ErrNotFound (unknown hash), ErrNoPlan,
 // ErrDraining, context.DeadlineExceeded (deadline already expired), or
@@ -149,8 +150,8 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 
 	// Every admitted request records into a pooled flight recorder; an
 	// explicit ?trace=1 recorder tees on top. Finish decides retention
-	// from hindsight (slow/error/SLO/adapt-coincident) and recycles the
-	// recorder either way.
+	// from hindsight (slow/error/SLO/hedged/adapt-coincident) and
+	// recycles the recorder either way.
 	fl := a.opt.Flight
 	fr := fl.Acquire()
 	runRec := obs.Tee(fr, rec)
@@ -207,14 +208,10 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 	e2e := res.E2E
 	if hedged {
 		e2e = a.nominalSince(execStart)
-	}
-	if hedged {
 		if winner == 1 {
 			a.m.hedgeWins.Inc()
-			fl.NoteEvent(wf.name, "hedge", "hedge attempt won", true)
 		} else {
 			a.m.hedgeWasted.Inc()
-			fl.NoteEvent(wf.name, "hedge", "hedge attempt wasted", false)
 		}
 	}
 
@@ -225,7 +222,7 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 	wf.feed(res.E2E)
 
 	traceID, kept := fl.Finish(fr, flight.Info{
-		Workflow: wf.name, Latency: total, SLO: sloNow,
+		Workflow: wf.name, Latency: total, SLO: sloNow, Hedged: hedged,
 	})
 	if kept {
 		// Exemplar: the latency bucket this request landed in now points

@@ -103,6 +103,56 @@ func TestFlightRetainsSLOViolationEndToEnd(t *testing.T) {
 	_ = fl
 }
 
+// TestHedgesKeepAdaptAnnotations: a hedge is a per-request event, not an
+// adapt-plane one. A burst of hedged requests must leave an earlier
+// replan visible on the /debug/flight timeline (64 entries) and tag
+// the hedged requests' own traces instead.
+func TestHedgesKeepAdaptAnnotations(t *testing.T) {
+	a, fl, url := flightApp(t, 16, Options{Scale: 0.05, HedgeQuantile: 0.05, Window: 1 << 20})
+	if _, err := a.Register(testWorkflow(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, a, "wf-test", time.Minute)
+	fl.NoteEvent("wf-test", "replanned", "drift=2.00", true)
+
+	// Quantile 0.05 arms a hedge on nearly every request; one whose
+	// primary the scheduler finishes before the hedge timer runs does
+	// not count toward the 100.
+	for hedged, i := 0, 0; hedged < 100; i++ {
+		if i == 400 {
+			t.Fatalf("only %d of %d requests hedged (quantile 0.05)", hedged, i)
+		}
+		res, err := a.Invoke(context.Background(), "wf-test", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hedged {
+			hedged++
+		}
+	}
+
+	code, list := doJSON(t, "GET", url+"/debug/flight", nil)
+	if code != http.StatusOK {
+		t.Fatalf("/debug/flight: %d", code)
+	}
+	var kinds []string
+	for _, x := range list["annotations"].([]interface{}) {
+		kinds = append(kinds, fmt.Sprint(x.(map[string]interface{})["kind"]))
+	}
+	if !strings.Contains(strings.Join(kinds, ","), "replanned") {
+		t.Fatalf("replanned annotation lost after 100 hedges; timeline kinds = %v", kinds)
+	}
+	hedgedTraces := 0
+	for _, x := range list["retained"].([]interface{}) {
+		if strings.Contains(fmt.Sprint(x.(map[string]interface{})["reasons"]), "hedged") {
+			hedgedTraces++
+		}
+	}
+	if hedgedTraces == 0 {
+		t.Fatal("no retained trace carries the hedged reason")
+	}
+}
+
 // TestFlightForceEndpoint arms dump-on-demand over HTTP and expects the
 // next request retained even when healthy.
 func TestFlightForceEndpoint(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 // executing for a configurable quantile of its plan's bias-corrected
 // predicted latency, a second warm instance is leased and the same
 // invocation re-issued on it. The first completion wins; the loser's
-// context is cancelled and its instance returned. All hedge state is
-// per-request stack state — nothing persists between invocations, so a
+// context is cancelled and its instance returned. Hedge state lives only
+// for one request — nothing carries over between invocations, so a
 // crashed gateway reconstructs hedging behaviour from the plan alone.
 
 // hedgeDelay returns the wall-clock in-flight duration after which this
@@ -38,109 +39,106 @@ func (a *App) hedgeDelay(wf *workflowState) time.Duration {
 	return time.Duration(q * float64(nominal) * a.opt.Scale)
 }
 
-// hedgeAttempt is one attempt's completion. won marks the attempt that
-// claimed the per-request result race — at most one attempt ever has
-// it, which is what makes result delivery exactly once.
-type hedgeAttempt struct {
-	res  *live.Result
-	err  error
-	idx  int // 0 = primary, 1 = hedge
-	cold bool
-	won  bool
+// hedgeRun is one hedged request's state, pooled together with its
+// timer so a request whose primary beats the delay pays only for the
+// context both attempts share. claim decides the winner (0 none,
+// 1 primary, 2 hedge); wg holds the armed attempt until it has unwound.
+// The caller reads res and hedged only once the timer was stopped
+// before firing or wg.Wait has returned.
+type hedgeRun struct {
+	ps     *planState
+	prog   *live.Program
+	rec    obs.Recorder
+	delay  time.Duration
+	ctx    context.Context
+	cancel context.CancelFunc
+	timer  *time.Timer
+
+	claim  atomic.Uint32
+	wg     sync.WaitGroup
+	res    *live.Result
+	hedged bool
 }
 
+var hedgeRuns = sync.Pool{New: func() any { return new(hedgeRun) }}
+
 // runHedged executes the invocation with a hedge armed. The primary
-// attempt starts immediately on the lease the caller already holds; if
-// it has not completed after delay, a second instance is leased
-// (subject to the global HedgeMaxInflight cap) and the invocation
-// re-issued on it. A CAS over per-request state decides the winner, the
-// loser's context is cancelled, and runHedged does not return until
-// every attempt it started has fully unwound — no goroutine outlives
-// the request, and both leases are always returned.
+// attempt runs on the caller's goroutine, on the lease the caller
+// already holds; if it has not completed after delay, the timer's
+// goroutine leases a second instance (subject to the global
+// HedgeMaxInflight cap) and re-issues the invocation on it. A CAS
+// decides the winner, which cancels the context both attempts share,
+// and runHedged does not return until the armed attempt has unwound —
+// no goroutine outlives the request, and both leases are returned.
 //
 // winner reports which attempt's result was delivered (0 primary,
 // 1 hedge); hedged reports whether the second attempt was launched at
 // all.
 func (a *App) runHedged(ctx context.Context, ps *planState, prog *live.Program, runRec obs.Recorder, delay time.Duration) (res *live.Result, hedged bool, winner int, err error) {
-	var claim atomic.Uint32
-	done := make(chan hedgeAttempt, 2)
-	primCtx, cancelPrim := context.WithCancel(ctx)
-	defer cancelPrim()
-	hedgeCtx, cancelHedge := context.WithCancel(ctx)
-	defer cancelHedge()
-
-	run := func(rctx context.Context, idx int, cold bool) {
-		r, rerr := prog.Run(rctx, a.liveOptions(runRec))
-		ps.pool.release(time.Now())
-		won := rerr == nil && claim.CompareAndSwap(0, uint32(idx)+1)
-		done <- hedgeAttempt{res: r, err: rerr, idx: idx, cold: cold, won: won}
-	}
-	go run(primCtx, 0, false)
-
-	outstanding := 1
-	var first *hedgeAttempt
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case at := <-done:
-		first = &at
-	case <-timer.C:
-		// The primary is past the quantile: arm the hedge, unless the
-		// global cap says the cure has become the disease.
-		if a.hedgeInflight.Add(1) > int64(a.opt.HedgeMaxInflight) {
-			a.hedgeInflight.Add(-1)
-		} else {
-			hedged = true
-			outstanding = 2
-			a.m.hedges.Inc()
-			if runRec != nil {
-				runRec.RecordInstant(obs.Instant{
-					Name: "hedge.armed", Cat: obs.CatHedge,
-					At: time.Duration(float64(delay) / a.opt.Scale),
-				})
-			}
-			go func() {
-				defer a.hedgeInflight.Add(-1)
-				// The hedge leases its own instance; a cancelled boot is
-				// unwound by acquireN's rollback accounting.
-				cold, aerr := ps.pool.acquire(hedgeCtx)
-				if aerr != nil {
-					done <- hedgeAttempt{err: aerr, idx: 1}
-					return
-				}
-				run(hedgeCtx, 1, cold)
-			}()
-		}
+	h := hedgeRuns.Get().(*hedgeRun)
+	h.ps, h.prog, h.rec, h.delay = ps, prog, runRec, delay
+	h.ctx, h.cancel = context.WithCancel(ctx)
+	h.wg.Add(1)
+	if h.timer == nil {
+		h.timer = time.AfterFunc(delay, h.hedge)
+	} else {
+		h.timer.Reset(delay)
 	}
 
-	// Drain every attempt before returning. The first successful
-	// completion claims the race and cancels the loser, whose Run
-	// tears down promptly (its sleeps select on ctx.Done); a loser that
-	// finished before the cancellation landed simply loses the CAS.
-	var win hedgeAttempt
-	haveWin := false
-	var primErr error
-	received := 0
-	handle := func(at hedgeAttempt) {
-		received++
-		if at.idx == 0 {
-			primErr = at.err
-		}
-		if at.won && !haveWin {
-			win, haveWin = at, true
-			cancelPrim()
-			cancelHedge()
-		}
+	r, err := prog.Run(h.ctx, a.liveOptions(runRec))
+	ps.pool.release(time.Now())
+	if err == nil && h.claim.CompareAndSwap(0, 1) {
+		h.res = r
+		h.cancel()
 	}
-	if first != nil {
-		handle(*first)
+	if h.timer.Stop() {
+		h.wg.Done() // the hedge never fired: nothing to wait for
 	}
-	for received < outstanding {
-		handle(<-done)
-	}
-	if !haveWin {
+	h.wg.Wait()
+	h.cancel()
+
+	res, hedged, winner = h.res, h.hedged, int(h.claim.Load())-1
+	h.ps, h.prog, h.rec, h.ctx, h.cancel, h.res, h.hedged = nil, nil, nil, nil, nil, nil, false
+	h.claim.Store(0)
+	hedgeRuns.Put(h)
+	if winner < 0 {
 		// Every attempt failed; the primary's error is the request's.
-		return nil, hedged, 0, primErr
+		return nil, hedged, 0, err
 	}
-	return win.res, hedged, win.idx, nil
+	return res, hedged, winner, nil
+}
+
+// hedge is the timer callback: the primary is past the quantile, so
+// launch the second attempt, unless the global cap says the cure has
+// become the disease. Like a timer that fired, it arms even when the
+// primary finished in the meantime: under CPU pressure the runtime may
+// run this goroutine after the primary's own wake-up, and the request
+// still ran past its delay.
+func (h *hedgeRun) hedge() {
+	defer h.wg.Done()
+	a := h.ps.pool.app
+	if a.hedgeInflight.Add(1) > int64(a.opt.HedgeMaxInflight) {
+		a.hedgeInflight.Add(-1)
+		return
+	}
+	defer a.hedgeInflight.Add(-1)
+	h.hedged = true
+	a.m.hedges.Inc()
+	if h.rec != nil {
+		h.rec.RecordInstant(obs.Instant{
+			Name: "hedge.armed", Cat: obs.CatHedge,
+			At: time.Duration(float64(h.delay) / a.opt.Scale),
+		})
+	}
+	// The hedge leases its own instance; a cancelled boot is unwound by
+	// acquireN's rollback accounting.
+	if _, err := h.ps.pool.acquire(h.ctx); err != nil {
+		return
+	}
+	r, err := h.prog.Run(h.ctx, a.liveOptions(h.rec))
+	h.ps.pool.release(time.Now())
+	if err == nil && h.claim.CompareAndSwap(0, 2) {
+		h.res = r
+		h.cancel()
+	}
 }

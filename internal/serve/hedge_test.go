@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,8 @@ import (
 
 	"chiron/internal/behavior"
 	"chiron/internal/dag"
+	"chiron/internal/obs"
+	"chiron/internal/obs/flight"
 )
 
 // settleGoroutines waits for the goroutine count to return to within
@@ -248,5 +252,75 @@ func TestRegisterBuiltinTailHeavy(t *testing.T) {
 	mustPlan(t, a, "TailHeavy", 0)
 	if _, err := a.Invoke(context.Background(), "TailHeavy", nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHedgeArmedNotFiredAllocs: a hedge that is armed but never fires
+// costs the request only the cancellable context both attempts would
+// share. The second attempt's goroutine, lease and bookkeeping are paid
+// when the delay elapses, not up front.
+func TestHedgeArmedNotFiredAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation budgets are checked without it")
+	}
+	allocs := func(q float64) (float64, *App) {
+		reg := obs.NewRegistry()
+		// Retention off (no sampling, no slow rule) and the controller's
+		// window out of reach: nothing but the request path allocates.
+		fl := flight.New(flight.Options{SampleRate: -1, MinSamples: math.MaxInt32, Reg: reg})
+		a := testApp(t, Options{Scale: 0.01, HedgeQuantile: q, Window: 1 << 20, Reg: reg, Flight: fl})
+		if _, err := a.Register(testWorkflow(time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		mustPlan(t, a, "wf-test", time.Minute)
+		h, ctx := HashName("wf-test"), context.Background()
+		run := func() {
+			ad, err := a.AdmitHash(ctx, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ad.Execute(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // boot the warm instance and compile the program
+		return testing.AllocsPerRun(100, run), a
+	}
+	off, _ := allocs(0)
+	armed, a := allocs(1000)
+	if n := a.m.hedges.Value(); n != 0 {
+		t.Fatalf("quantile 1000 fired %d hedges; the armed path was not measured", n)
+	}
+	if armed-off > 3 {
+		t.Fatalf("armed-but-not-fired hedge costs %.1f allocs per request over an unhedged one (%.1f vs %.1f), want <= 3",
+			armed-off, armed, off)
+	}
+}
+
+// TestCheckInvariantsReportsViolations: the quiescence check names a
+// lease still out and a hedge arm without an outcome, and passes once
+// both are reconciled.
+func TestCheckInvariantsReportsViolations(t *testing.T) {
+	a := testApp(t, Options{Scale: 0.02})
+	if _, err := a.Register(testWorkflow(2 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, a, "wf-test", 0)
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatalf("fresh app: %v", err)
+	}
+	pool := a.wfs["wf-test"].active.Load().pool
+	if _, err := pool.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	a.m.hedges.Inc()
+	err := a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "leased 1") || !strings.Contains(err.Error(), "hedges 1") {
+		t.Fatalf("CheckInvariants with a lease out and an unreconciled hedge = %v", err)
+	}
+	pool.release(time.Now())
+	a.m.hedgeWasted.Inc()
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatalf("after reconciling: %v", err)
 	}
 }

@@ -33,8 +33,8 @@ type InvokeResult struct {
 	// FlightTraceID points at the retained flight trace when tail
 	// sampling kept this request (GET /debug/flight/trace?id=...).
 	FlightTraceID uint64 `json:"flight_trace_id,omitempty"`
-	// InvocationID is the request's idempotent invocation id; hedged
-	// attempts share it and exactly one result is delivered under it.
+	// InvocationID is the request's correlation id; hedged attempts
+	// share it and the hedge CAS delivers exactly one result under it.
 	InvocationID uint64 `json:"invocation_id"`
 	// Hedged reports that a second instance was leased for this request
 	// and the first completion returned.

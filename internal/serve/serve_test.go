@@ -35,6 +35,10 @@ func testWorkflow(cpu time.Duration) *dag.Workflow {
 	return w
 }
 
+// testApp builds an App that is drained when the test ends, after
+// which the serving plane's accounting must be back at rest: every test
+// built on it, hedge, deadline and stampede tests included, ends with a
+// CheckInvariants pass at quiescence.
 func testApp(t *testing.T, opt Options) *App {
 	t.Helper()
 	if opt.Reg == nil {
@@ -44,7 +48,13 @@ func testApp(t *testing.T, opt Options) *App {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = a.Shutdown(ctx)
+		if err := a.Shutdown(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+			return
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Errorf("serving-plane invariants at quiescence: %v", err)
+		}
 	})
 	return a
 }

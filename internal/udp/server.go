@@ -243,11 +243,11 @@ func (s *Server) handle(j *job) {
 		defer cancel()
 	}
 
-	// The wire header's client-chosen id is the invocation's idempotent
-	// id: hedged re-issues inside serve share it, and the per-request ms
-	// deadline above orders this packet in the admission queue by
-	// remaining slack (an already-expired one is rejected before it
-	// queues).
+	// The wire header's client-chosen id is the invocation's correlation
+	// id (nothing dedupes on it): hedged re-issues inside serve share it,
+	// and the per-request ms deadline above orders this packet in the
+	// admission queue by remaining slack (an already-expired one is
+	// rejected before it queues).
 	ad, err := s.app.AdmitHashID(ctx, j.h.Hash, j.h.ID)
 	if err != nil {
 		s.m.rejected.Inc()
