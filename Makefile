@@ -1,24 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hedge bench bench-baseline bench-compare cache-bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
-
-# Benchmark regression rails: bench-baseline runs the figure/table suite
-# with -benchmem and records it as $(BENCH_JSON) (ns/op, allocs/op and the
-# plans_per_sec planner-throughput metric, plus a run manifest);
-# bench-compare re-runs the suite and fails on >10% ns/op regressions
-# against that baseline. Both run each benchmark $(BENCH_COUNT) times and
-# benchjson keeps the fastest repetition — at a 20x iteration budget the
-# sub-ms benchmarks are otherwise pure scheduler noise and back-to-back
-# identical runs trip the 10% gate.
-BENCH_JSON    ?= BENCH_pr10.json
-BENCH_PATTERN ?= ^(BenchmarkFig|BenchmarkTable|BenchmarkGateway|BenchmarkUDP|BenchmarkCache)
-BENCH_TIME    ?= 20x
-BENCH_COUNT   ?= 5
-# The hedging rail drives 200 wall-clock requests per iteration (nominal
-# time, no compression — see BenchmarkHedgedInvoke), so it gets a small
-# separate iteration budget instead of the 20x the sub-ms rails need.
-HEDGE_BENCH_TIME  ?= 3x
-HEDGE_BENCH_COUNT ?= 2
+.PHONY: all build test race race-hedge bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
 
 all: build
 
@@ -33,30 +15,13 @@ race:
 
 # race-hedge repeats the tests that share a pooled hedge run between the
 # caller and the hedge's timer goroutine, so the race detector sees many
-# interleavings of that hand-off, not one.
+# interleavings of that hand-off, not one. The pattern also repeats
+# TestHedgeCutsP99 (p99 off/on >= 2x at <= 10% hedges, ~3 s a run).
 race-hedge:
 	$(GO) test -race -count=10 -run 'Hedge|Deadline|Program' ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
-
-bench-baseline:
-	( $(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkHedgedInvoke$$' -benchmem -benchtime=$(HEDGE_BENCH_TIME) -count=$(HEDGE_BENCH_COUNT) . ) \
-		| $(GO) run ./cmd/benchjson -label baseline -out $(BENCH_JSON)
-	@echo "baseline written to $(BENCH_JSON)"
-
-bench-compare:
-	( $(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) . ; \
-	  $(GO) test -run='^$$' -bench='^BenchmarkHedgedInvoke$$' -benchmem -benchtime=$(HEDGE_BENCH_TIME) -count=$(HEDGE_BENCH_COUNT) . ) \
-		| $(GO) run ./cmd/benchjson -label current -out /tmp/bench-current.json
-	$(GO) run ./cmd/benchjson -compare -threshold 0.10 $(BENCH_JSON) /tmp/bench-current.json
-
-# cache-bench runs just the cache policy rails (hit-heavy, scan-flood,
-# serve traffic mix, stampede) with the hit_rate / loads-per-op columns
-# the per-cache policy defaults were picked from (see DESIGN.md §12).
-cache-bench:
-	$(GO) test -run='^$$' -bench='^BenchmarkCache' -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) .
 
 # chirond builds the serving daemon; serve-smoke boots it on an
 # ephemeral port, drives 200 invocations of the SocialNetwork workload

@@ -2,6 +2,8 @@
 // (each iteration regenerates the full experiment, so `go test -bench=.`
 // doubles as the reproduction harness), plus micro-benchmarks of the hot
 // substrates (GIL simulation, wrap execution, PGP planning, the engine).
+// They are profiling entry points, not gates: serving-plane latency and
+// throughput are measured end to end by `make bench-e2e` (bench/README.md).
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkFig13 -benchtime=1x   # one-shot table
@@ -9,14 +11,8 @@ package chiron_test
 
 import (
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"net/netip"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,127 +309,6 @@ func BenchmarkGILSimulatePooled200Pool(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayInvoke is one end-to-end request through the serving
-// plane — HTTP in, admission, warm-pool lease, live execution of the
-// SocialNetwork workload, JSON out — with modelled time compressed to
-// 0.1% so the measured cost is the gateway itself plus the (scaled)
-// execution, not the paper's wall-clock sleeps. The first request boots
-// the instance cold outside the timed region; every iteration after is
-// the steady-state warm path.
-func BenchmarkGatewayInvoke(b *testing.B) {
-	app := serve.New(serve.Options{Scale: 0.001, Reg: obs.NewRegistry()})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = app.Shutdown(ctx)
-	}()
-	if _, err := app.RegisterBuiltin("SocialNetwork"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := app.PlanWorkflow("SocialNetwork", 0); err != nil {
-		b.Fatal(err)
-	}
-	srv := httptest.NewServer(app.Handler())
-	defer srv.Close()
-	url := srv.URL + "/workflows/SocialNetwork/invoke"
-	post := func() {
-		resp, err := http.Post(url, "application/json", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("invoke: HTTP %d", resp.StatusCode)
-		}
-	}
-	post() // cold boot outside the timed region
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
-	}
-}
-
-// BenchmarkUDPInvoke is the binary ingress plane's answer to
-// BenchmarkGatewayInvoke: the same SocialNetwork invocation at the same
-// 0.1% time scale, but over the UDP protocol and closed-loop at the
-// protocol's natural width — 32 workers, each with one connected,
-// token-handshaked client and one invocation outstanding. ns/op is
-// wall-clock per completed invocation, so the invokes/sec ratio against
-// the serial HTTP gateway benchmark is the headline throughput claim
-// (the per-request ingress cost itself is BenchmarkUDPPacketPath).
-func BenchmarkUDPInvoke(b *testing.B) {
-	const conc = 32
-	app := serve.New(serve.Options{Scale: 0.001, MaxConcurrency: conc, Reg: obs.NewRegistry()})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = app.Shutdown(ctx)
-	}()
-	if _, err := app.RegisterBuiltin("SocialNetwork"); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := app.PlanWorkflow("SocialNetwork", 0); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := udp.New(app, udp.Options{Reg: app.Registry(), Workers: conc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	hash := udp.HashWorkflow("SocialNetwork")
-	clients := make([]*udp.Client, conc)
-	for i := range clients {
-		c, err := udp.Dial(srv.Addr().String(), 30*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	// Boot the warm pool to full width outside the timed region, like
-	// the gateway benchmark's single cold post.
-	var warm sync.WaitGroup
-	for _, c := range clients {
-		warm.Add(1)
-		go func(c *udp.Client) {
-			defer warm.Done()
-			if r, err := c.Invoke(hash, nil, 0, 0); err != nil || r.Status != udp.StatusOK {
-				b.Errorf("warmup: %+v err=%v", r, err)
-			}
-		}(c)
-	}
-	warm.Wait()
-	if b.Failed() {
-		b.FailNow()
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *udp.Client) {
-			defer wg.Done()
-			for next.Add(1) <= int64(b.N) {
-				r, err := c.Invoke(hash, nil, 0, 0)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if r.Status != udp.StatusOK {
-					b.Errorf("status %d", r.Status)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-}
-
 // BenchmarkUDPPacketPath is the per-packet ingress cost in isolation:
 // filter, header parse, token verification and shared-queue admission
 // (plus release), exactly what the receive loop and worker spend on one
@@ -483,104 +358,5 @@ func BenchmarkUDPPacketPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		ad.Release()
-	}
-}
-
-// BenchmarkHedgedInvoke is the straggler rail: the TailHeavy workload
-// (4% of executions stall an extra 200ms that no model predicted),
-// served closed-loop with hedging off and on. Each iteration drives 200
-// requests at concurrency 8; p99_ms is the 99th-percentile reported
-// total latency across every request of the run and hedge_rate the
-// fraction of requests that armed a hedge (the duplicate-work budget).
-// Off, p99 sits on the tail (~217ms); on, the hedge re-issues a
-// straggling request on a warm instance and p99 collapses toward
-// hedge-delay + base.
-func BenchmarkHedgedInvoke(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		quantile float64
-	}{{"off", 0}, {"on", 3}} {
-		b.Run(mode.name, func(b *testing.B) {
-			const (
-				reqPerIter = 200
-				conc       = 8
-			)
-			app := serve.New(serve.Options{
-				// Nominal time: at higher compression, timer overshoot on
-				// the modelled sleeps (a fixed wall cost) dominates the
-				// base latency and every request looks like a straggler.
-				Scale:          1,
-				MaxConcurrency: 16,
-				MaxQueue:       1024,
-				HedgeQuantile:  mode.quantile,
-				// A window the bench never fills: the adaptive controller
-				// would read the tail as drift and its plan swaps would
-				// cold-storm both modes, measuring adaptation instead of
-				// hedging.
-				Window: 1 << 20,
-				Reg:    obs.NewRegistry(),
-			})
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				_ = app.Shutdown(ctx)
-			}()
-			if _, err := app.RegisterBuiltin("TailHeavy"); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := app.PlanWorkflow("TailHeavy", 0); err != nil {
-				b.Fatal(err)
-			}
-			// Prewarm a full complement of instances so hedges land on
-			// warm capacity (steady state), not on a cold boot.
-			var warm sync.WaitGroup
-			for i := 0; i < 16; i++ {
-				warm.Add(1)
-				go func() {
-					defer warm.Done()
-					if _, err := app.Invoke(context.Background(), "TailHeavy", nil); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			warm.Wait()
-			if b.Failed() {
-				b.FailNow()
-			}
-
-			var mu sync.Mutex
-			lat := make([]float64, 0, b.N*reqPerIter)
-			hedgedN := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < conc; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for j := 0; j < reqPerIter/conc; j++ {
-							res, err := app.Invoke(context.Background(), "TailHeavy", nil)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							mu.Lock()
-							lat = append(lat, res.TotalMs)
-							if res.Hedged {
-								hedgedN++
-							}
-							mu.Unlock()
-						}
-					}()
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			sort.Float64s(lat)
-			if len(lat) > 0 {
-				b.ReportMetric(lat[len(lat)*99/100], "p99_ms")
-				b.ReportMetric(float64(hedgedN)/float64(len(lat)), "hedge_rate")
-			}
-		})
 	}
 }

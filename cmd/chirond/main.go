@@ -72,10 +72,10 @@ func run(argv []string, stdout, stderr *os.File) error {
 		hedgeQ       = fs.Float64("hedge-quantile", 0, "arm a hedged second attempt once a request runs past this multiple of the bias-corrected predicted latency (0 = hedging off)")
 		hedgeMax     = fs.Int("hedge-max-inflight", 0, "max concurrent hedge attempts across all workflows (0 = default 64)")
 
-		// Cache policy/size knobs. Defaults were picked by benchmark (make
-		// cache-bench, BENCH_pr8.json): LRU for predict and profiler (small
-		// strongly re-referenced working sets), 2Q for the negative cache
-		// (junk-name floods must not evict repeat-probed names).
+		// Cache policy/size knobs. Defaults: LRU for predict and profiler
+		// (small, strongly re-referenced working sets), 2Q for the negative
+		// cache (junk-name floods must not evict repeat-probed names;
+		// parallel's TestTwoQBeatsLRUOnScanMixes).
 		predictPol  = fs.String("predict-cache", "lru", "prediction cache policy: lru, 2q or lfu")
 		predictSize = fs.Int("predict-cache-size", 0, "prediction cache capacity in entries (0 = default 32768)")
 		profilePol  = fs.String("profile-cache", "lru", "profiler memo policy: lru, 2q or lfu")

@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.sha256 from the
 
 const tablesDigests = "testdata/tables.sha256"
 
-// TestTablesPinned regenerates every paper table (each id in Order, at
-// quickCfg) and compares its SHA-256 against testdata/tables.sha256, so
+// TestTablesPinned regenerates every paper table and ablation (each id
+// in Order and Ablations, at quickCfg) and compares its SHA-256 against testdata/tables.sha256, so
 // a change that moves any number the paper's figures report fails
 // tier-1 instead of passing unnoticed. A change that means to move them
 // rewrites the file with
@@ -28,7 +28,8 @@ const tablesDigests = "testdata/tables.sha256"
 func TestTablesPinned(t *testing.T) {
 	var file strings.Builder
 	sums := map[string]string{}
-	for _, id := range Order {
+	ids := append(append([]string(nil), Order...), Ablations...)
+	for _, id := range ids {
 		tab, err := Run(id, quickCfg())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -47,7 +48,7 @@ func TestTablesPinned(t *testing.T) {
 		t.Fatalf("%v (create it with -update)", err)
 	}
 	want := digestsByID(string(raw))
-	for _, id := range Order {
+	for _, id := range ids {
 		if w, ok := want[id]; !ok {
 			t.Errorf("%s: no pinned digest in %s", id, tablesDigests)
 		} else if w != sums[id] {
@@ -56,7 +57,7 @@ func TestTablesPinned(t *testing.T) {
 		delete(want, id)
 	}
 	for id := range want {
-		t.Errorf("%s: pinned in %s but no longer in Order", id, tablesDigests)
+		t.Errorf("%s: pinned in %s but no longer in Order or Ablations", id, tablesDigests)
 	}
 }
 

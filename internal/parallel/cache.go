@@ -19,8 +19,9 @@ type CacheStats struct {
 
 // Policy selects a shard's replacement policy. The shell (sharding, hash,
 // metrics, singleflight) is identical across policies; only what each
-// shard evicts differs. Defaults across the repo are picked by benchmark
-// (make cache-bench, BENCH_pr8.json), not by taste.
+// shard evicts differs. Defaults across the repo follow the traffic mixes
+// in policy_mix_test.go, not taste: TestTwoQBeatsLRUOnScanMixes is why
+// serve's negative cache is 2Q.
 type Policy string
 
 const (

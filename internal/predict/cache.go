@@ -81,13 +81,12 @@ func execKeyHash(k execKey) uint64 {
 // wall-clock time but never results.
 // Counters publish in obs.Default as chiron_predict_cache_*.
 //
-// The default policy and size were picked by benchmark (BENCH_pr8.json):
-// LRU wins the hit-heavy and serve-mix shapes at this capacity because
-// PGP's candidate fan-out re-prices the same groups within a tight
-// window; 2Q's probation queue only pays off when scan traffic floods
-// the cache faster than 1<<15 entries absorb (see BenchmarkCacheScanFlood
-// for the shape where it inverts). ConfigureExecCache swaps either knob
-// at boot.
+// The default policy is LRU: PGP's candidate fan-out re-prices the same
+// groups within a tight window, so the working set fits and the cheapest
+// hit path wins (BenchmarkCacheHitHeavy in internal/parallel). 2Q's
+// probation queue only pays off when scan traffic floods the cache
+// faster than 1<<15 entries absorb (TestTwoQBeatsLRUOnScanMixes is the
+// shape where it inverts). ConfigureExecCache swaps either knob at boot.
 var execCache = parallel.NewCachePolicyMetrics[execKey, time.Duration](
 	parallel.PolicyLRU, 1<<15, 16, execKeyHash, obs.Default, "chiron_predict_cache")
 

@@ -170,9 +170,10 @@ func profKeyOf(spec *behavior.Spec, opt Options) profKey {
 // caller receives a private clone on the way out, so callers may mutate
 // what they receive.
 //
-// LRU is the benchmarked default (BENCH_pr8.json): the profile working
-// set is small and strongly re-referenced (every figure shares the FINRA
-// workflows), so probation/frequency machinery buys nothing here.
+// LRU is the default: the profile working set is small and strongly
+// re-referenced (every figure shares the FINRA workflows), so 2Q's
+// probation queue buys nothing here; it wins only under scan floods
+// (TestTwoQBeatsLRUOnScanMixes in internal/parallel).
 // ConfigureProfileCache swaps the policy or size at boot.
 var profileCache = parallel.NewCachePolicyMetrics[profKey, *Profile](
 	parallel.PolicyLRU, 4096, 8,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,6 +130,89 @@ func TestHedgeWinsCutStraggler(t *testing.T) {
 	}
 	if w, l, h := a.m.hedgeWins.Value(), a.m.hedgeWasted.Value(), a.m.hedges.Value(); w+l != h {
 		t.Fatalf("hedge_wins %d + hedge_wasted %d != hedges %d", w, l, h)
+	}
+}
+
+// TestHedgeCutsP99 is the hedge's whole promise, run both ways on the
+// same workflow: 1 000 closed-loop requests (8 workers) against a 5 ms
+// function whose every call stalls an extra 150 ms with probability
+// p = 0.035, hedged at 5x the predicted 5.5 ms. The p99 is the
+// nearest-rank sample 990 of 1 000, so:
+//   - off, p99 sits on the tail unless at most 9 requests straggle:
+//     P(Bin(1000, p) <= 9) = 1.3e-7;
+//   - on, a request stays on the tail only if its hedge straggles too,
+//     and p99 reaches it only if 10 or more do:
+//     P(Bin(1000, p²) >= 10) = 6.7e-7;
+//   - hedges past 10% of requests need 101 stragglers:
+//     P(Bin(1000, p) >= 101) < 1e-13;
+//   - hedges == wins + wasted is exact, not probabilistic.
+//
+// Scale 1 keeps the modelled sleeps in milliseconds, so timer overshoot
+// (a fixed wall cost) and scheduling noise on a busy machine are small
+// against the 27.5 ms hedge delay and cannot make an on-time request
+// look like a straggler. Window 1<<20 keeps the
+// adaptive controller from reading the tail as drift and re-planning.
+func TestHedgeCutsP99(t *testing.T) {
+	const n, conc = 1000, 8
+	run := func(quantile float64) (p99 time.Duration, hedges, requests uint64) {
+		a := testApp(t, Options{Scale: 1, MaxConcurrency: 2 * conc, MaxQueue: n,
+			HedgeQuantile: quantile, Window: 1 << 20})
+		if _, err := a.Register(tailWorkflow(5*time.Millisecond, 150*time.Millisecond, 0.035)); err != nil {
+			t.Fatal(err)
+		}
+		mustPlan(t, a, "wf-tail", time.Second)
+		// Boot one instance per possible lease (a primary and a hedge per
+		// worker) so no measured request pays a cold start.
+		var wg sync.WaitGroup
+		for i := 0; i < 2*conc; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := a.Invoke(context.Background(), "wf-tail", nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		h0, r0 := a.m.hedges.Value(), a.m.requests.Value()
+
+		lat := make([]time.Duration, n)
+		var next atomic.Int64
+		for w := 0; w < conc; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
+					start := time.Now()
+					if _, err := a.Invoke(context.Background(), "wf-tail", nil); err != nil {
+						t.Error(err)
+						return
+					}
+					lat[i] = time.Since(start)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if w, l, h := a.m.hedgeWins.Value(), a.m.hedgeWasted.Value(), a.m.hedges.Value(); w+l != h {
+			t.Fatalf("hedge_wins %d + hedge_wasted %d != hedges %d", w, l, h)
+		}
+		slices.Sort(lat)
+		return lat[n*99/100], a.m.hedges.Value() - h0, a.m.requests.Value() - r0
+	}
+	off, _, _ := run(0)
+	on, hedges, requests := run(5)
+	t.Logf("p99 off %v, on %v (%.1fx); %d hedges in %d requests", off, on, float64(off)/float64(on), hedges, requests)
+	if requests != n {
+		t.Fatalf("requests_total moved %d, want %d", requests, n)
+	}
+	if off < 2*on {
+		t.Errorf("p99 off %v / on %v = %.2fx, want >= 2x", off, on, float64(off)/float64(on))
+	}
+	if hedges*10 > requests {
+		t.Errorf("hedges %d / requests %d = %.3f, want <= 0.10", hedges, requests, float64(hedges)/float64(requests))
 	}
 }
 
@@ -299,7 +383,8 @@ func TestHedgeArmedNotFiredAllocs(t *testing.T) {
 
 // TestCheckInvariantsReportsViolations: the quiescence check names a
 // lease still out and a hedge arm without an outcome, and passes once
-// both are reconciled.
+// both are reconciled; then it names warm and resident gauges that
+// disagree with the pools.
 func TestCheckInvariantsReportsViolations(t *testing.T) {
 	a := testApp(t, Options{Scale: 0.02})
 	if _, err := a.Register(testWorkflow(2 * time.Millisecond)); err != nil {
@@ -323,4 +408,14 @@ func TestCheckInvariantsReportsViolations(t *testing.T) {
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatalf("after reconciling: %v", err)
 	}
+
+	// Gauges that drift from the pools they summarise are named too.
+	a.m.warmGauge.Add(1)
+	a.m.resident.Add(-1)
+	err = a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "warm instances gauge") || !strings.Contains(err.Error(), "resident MB gauge") {
+		t.Fatalf("CheckInvariants with skewed gauges = %v", err)
+	}
+	a.m.warmGauge.Add(-1)
+	a.m.resident.Add(1)
 }
