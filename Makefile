@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hedge bench bench-test bench-e2e ci fmt vet staticcheck tables chirond serve-smoke obs-smoke soak udp-soak fuzz
+.PHONY: all build test race race-hedge bench bench-test bench-e2e ci fmt vet staticcheck tables chirond fuzz
 
 all: build
 
@@ -23,32 +23,10 @@ race-hedge:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# chirond builds the serving daemon; serve-smoke boots it on an
-# ephemeral port, drives 200 invocations of the SocialNetwork workload
-# against itself (closed loop, 8 workers), and exits cleanly.
+# chirond builds the serving daemon. TestDaemonSmoke (./cmd/chirond,
+# part of test and race) boots it in-process and drives it end to end.
 chirond:
 	$(GO) build -o bin/chirond ./cmd/chirond
-
-serve-smoke: chirond
-	./bin/chirond -addr 127.0.0.1:0 -scale 0.01 -preload SocialNetwork -plan \
-		-selfbench 200 -selfbench-conc 8
-
-# obs-smoke black-box tests the observability plane: boot chirond with
-# an impossible 1ms SLO, drive 200 violating invocations, then require
-# a strict-parsing /metrics with a tripped burn alert, an slo-tagged
-# trace in /debug/flight, and that trace fetchable as Chrome JSON.
-obs-smoke: chirond
-	./scripts/obs_smoke.sh
-
-soak:
-	$(GO) build -o bin/soak ./cmd/soak
-
-# udp-soak black-box tests the binary ingress plane: boot chirond with
-# -udp, drive it closed-loop for a few seconds, require zero dropped
-# completions, a still-zero packets-filtered counter (a healthy client
-# never emits a malformed datagram) and a clean SIGTERM drain.
-udp-soak: chirond soak
-	./scripts/udp_soak.sh
 
 # fuzz runs the UDP packet-parser fuzzer for a fixed iteration budget
 # (the same budget CI runs); FUZZ_TIME accepts Nx or a duration.

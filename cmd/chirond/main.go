@@ -1,24 +1,30 @@
 // Command chirond is the Chiron serving daemon: an HTTP gateway over
-// internal/serve. It registers workflows, plans them with PGP, executes
-// invocations on the live executor behind warm-wrap pools and admission
-// control, and adapts plans to live latency drift. Adaptation is
-// calibrated and hysteretic (-cooldown, -min-improve), a regressing
-// swap rolls back automatically (-rollback-guard), and retired plan
-// epochs (-plan-history) can be restored manually via
-// POST /workflows/{name}/plan/rollback.
+// internal/serve, plus binary UDP ingress with -udp. It registers
+// workflows, plans them with PGP, executes invocations on the live
+// executor behind warm-wrap pools and admission control, and adapts
+// plans to live latency drift. Adaptation is calibrated and hysteretic
+// (-cooldown, -min-improve), a regressing swap rolls back automatically
+// (-rollback-guard), and retired plan epochs (-plan-history) can be
+// restored manually via POST /workflows/{name}/plan/rollback.
 //
 //	chirond -addr 127.0.0.1:8080 -preload SocialNetwork -plan -slo 300ms
 //
 // The daemon prints "chirond listening on http://HOST:PORT" once the
 // listener is up (use -addr 127.0.0.1:0 for an ephemeral port and parse
-// that line). SIGINT/SIGTERM drain gracefully: the listener closes,
+// that line). SIGINT/SIGTERM drain gracefully: the listeners close,
 // in-flight requests finish, then the process exits 0.
+//
+// TestDaemonSmoke boots the daemon in-process and drives both planes,
+// hedging, the observability endpoints and the drain:
+//
+//	go test ./cmd/chirond -run Smoke -v
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -27,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"chiron/internal/loadgen"
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
 	"chiron/internal/parallel"
@@ -38,13 +43,37 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	d, err := boot(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		err = d.serve(ctx)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "chirond:", err)
 		os.Exit(1)
 	}
 }
 
-func run(argv []string, stdout, stderr *os.File) error {
+// daemon is a booted chirond: the app is built, preloaded workflows are
+// planned and the listeners are bound, but nothing is served until
+// serve runs.
+type daemon struct {
+	app      *serve.App
+	httpAddr net.Addr
+	udpAddr  net.Addr // nil without -udp
+
+	ln         net.Listener
+	srv        *http.Server
+	usrv       *udp.Server
+	runtimeInt time.Duration
+	drainWait  time.Duration
+	stdout     io.Writer
+}
+
+// boot parses argv, builds the app, preloads (and plans) workflows and
+// binds the HTTP and UDP listeners.
+func boot(argv []string, stdout, stderr io.Writer) (*daemon, error) {
 	fs := flag.NewFlagSet("chirond", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -63,8 +92,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		preload      = fs.String("preload", "", "comma-separated builtin workloads to register at boot (e.g. SocialNetwork)")
 		planBoot     = fs.Bool("plan", false, "plan preloaded workflows at boot")
 		drainWait    = fs.Duration("drain", 30*time.Second, "max graceful drain on SIGTERM")
-		selfbench    = fs.Int("selfbench", 0, "after boot, fire N closed-loop invocations at the first preloaded workflow, print stats and exit")
-		benchConc    = fs.Int("selfbench-conc", 4, "selfbench closed-loop concurrency")
 		flightRing   = fs.Int("flight-ring", 0, "retained flight traces kept for /debug/flight (0 = default 256)")
 		flightSample = fs.Float64("flight-sample", 0, "flight recorder probabilistic sample rate for healthy traces (0 = default 0.01)")
 		sloTarget    = fs.Float64("slo-target", 0, "SLO availability target for the burn-rate monitor, e.g. 0.99 (0 = default 0.99)")
@@ -84,24 +111,24 @@ func run(argv []string, stdout, stderr *os.File) error {
 		negSize     = fs.Int("neg-cache-size", 0, "negative cache capacity in entries (0 = default 1024)")
 	)
 	if err := fs.Parse(argv); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Boot-time cache configuration, before any planning or traffic: the
 	// Configure* swaps are not synchronized with in-flight lookups.
 	pp, err := parallel.ParsePolicy(*predictPol)
 	if err != nil {
-		return fmt.Errorf("-predict-cache: %w", err)
+		return nil, fmt.Errorf("-predict-cache: %w", err)
 	}
 	predict.ConfigureExecCache(pp, *predictSize)
 	fp, err := parallel.ParsePolicy(*profilePol)
 	if err != nil {
-		return fmt.Errorf("-profile-cache: %w", err)
+		return nil, fmt.Errorf("-profile-cache: %w", err)
 	}
 	profiler.ConfigureProfileCache(fp, *profileSize)
 	np, err := parallel.ParsePolicy(*negPol)
 	if err != nil {
-		return fmt.Errorf("-neg-cache: %w", err)
+		return nil, fmt.Errorf("-neg-cache: %w", err)
 	}
 
 	// The daemon serves the process-wide default registry so /metrics
@@ -137,99 +164,80 @@ func run(argv []string, stdout, stderr *os.File) error {
 	})
 	fmt.Fprintf(stdout, "chirond build: version=%s go=%s\n", build.Version, build.GoVersion)
 
-	if *runtimeInt > 0 {
-		bridge := obs.NewRuntimeBridge(reg)
-		bridge.Start(*runtimeInt)
-		defer bridge.Stop()
-	}
-
-	var preloaded []string
-	if *preload != "" {
-		for _, name := range strings.Split(*preload, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
+	for _, name := range strings.Split(*preload, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if _, err := app.RegisterBuiltin(name); err != nil {
+			return nil, err
+		}
+		if *planBoot {
+			info, err := app.PlanWorkflow(name, *slo)
+			if err != nil {
+				return nil, err
 			}
-			if _, err := app.RegisterBuiltin(name); err != nil {
-				return err
-			}
-			preloaded = append(preloaded, name)
-			if *planBoot {
-				info, err := app.PlanWorkflow(name, *slo)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, "chirond: planned %s v%d predicted=%v slo=%v wraps=%d\n",
-					name, info.Version, info.Predicted, info.SLO, info.Plan.NumWraps())
-			}
+			fmt.Fprintf(stdout, "chirond: planned %s v%d predicted=%v slo=%v wraps=%d\n",
+				name, info.Version, info.Predicted, info.SLO, info.Plan.NumWraps())
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
+	d := &daemon{
+		app:        app,
+		srv:        &http.Server{Handler: app.Handler()},
+		runtimeInt: *runtimeInt,
+		drainWait:  *drainWait,
+		stdout:     stdout,
 	}
-	srv := &http.Server{Handler: app.Handler()}
-	fmt.Fprintf(stdout, "chirond listening on http://%s\n", ln.Addr())
+	if d.ln, err = net.Listen("tcp", *addr); err != nil {
+		return nil, err
+	}
+	d.httpAddr = d.ln.Addr()
+	fmt.Fprintf(stdout, "chirond listening on http://%s\n", d.httpAddr)
 
 	// Binary UDP ingress: same app, so UDP invocations share the HTTP
 	// plane's admission queues, warm pools and metrics registry.
-	var usrv *udp.Server
 	if *udpAddr != "" {
-		usrv, err = udp.New(app, udp.Options{Addr: *udpAddr, Reg: app.Registry()})
-		if err != nil {
-			return err
+		if d.usrv, err = udp.New(app, udp.Options{Addr: *udpAddr, Reg: app.Registry()}); err != nil {
+			d.ln.Close()
+			return nil, err
 		}
-		fmt.Fprintf(stdout, "chirond udp listening on %s\n", usrv.Addr())
+		d.udpAddr = d.usrv.Addr()
+		fmt.Fprintf(stdout, "chirond udp listening on %s\n", d.udpAddr)
 	}
-	closeUDP := func() {
-		if usrv != nil {
-			_ = usrv.Close() // stops ingress, drains in-flight UDP invokes
-		}
-	}
+	return d, nil
+}
 
+// serve serves until ctx is done, then drains once: UDP ingress closes
+// (in-flight UDP invokes finish), the HTTP listener closes and in-flight
+// requests finish, then the app drains its pools. A listener failure
+// returns without draining.
+func (d *daemon) serve(ctx context.Context) error {
+	if d.runtimeInt > 0 {
+		bridge := obs.NewRuntimeBridge(d.app.Registry())
+		bridge.Start(d.runtimeInt)
+		defer bridge.Stop()
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
-	if *selfbench > 0 {
-		if len(preloaded) == 0 {
-			return fmt.Errorf("-selfbench needs -preload (and -plan)")
-		}
-		url := fmt.Sprintf("http://%s/workflows/%s/invoke", ln.Addr(), preloaded[0])
-		stats, err := loadgen.DriveHTTP(context.Background(), url, loadgen.DriveOptions{
-			Requests:    *selfbench,
-			Concurrency: *benchConc,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "chirond selfbench: sent=%d ok=%d rejected=%d failed=%d mean=%v p50=%v p95=%v p99=%v throughput=%.1f req/s\n",
-			stats.Sent, stats.OK, stats.Rejected, stats.Failed,
-			stats.Mean, stats.P50, stats.P95, stats.P99, stats.Throughput)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		closeUDP()
-		_ = srv.Shutdown(shutdownCtx)
-		return app.Shutdown(shutdownCtx)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	go func() { errCh <- d.srv.Serve(d.ln) }()
 	select {
 	case err := <-errCh:
 		return err
-	case s := <-sig:
-		fmt.Fprintf(stdout, "chirond: %v, draining (max %v)\n", s, *drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		closeUDP()
-		if err := srv.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		if err := app.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		fmt.Fprintln(stdout, "chirond: drained cleanly")
-		return nil
+	case <-ctx.Done():
 	}
+
+	fmt.Fprintf(d.stdout, "chirond: draining (max %v)\n", d.drainWait)
+	dctx, cancel := context.WithTimeout(context.Background(), d.drainWait)
+	defer cancel()
+	if d.usrv != nil {
+		_ = d.usrv.Close()
+	}
+	if err := d.srv.Shutdown(dctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	if err := d.app.Shutdown(dctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	fmt.Fprintln(d.stdout, "chirond: drained cleanly")
+	return nil
 }

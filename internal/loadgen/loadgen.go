@@ -19,15 +19,8 @@ import (
 	"time"
 
 	"chiron/internal/metrics"
-	"chiron/internal/obs"
 	"chiron/internal/parallel"
 	"chiron/internal/sim"
-)
-
-// Load-generator metrics, in the process-wide registry.
-var (
-	lgServed  = obs.Default.Counter("chiron_loadgen_served_total", "requests completed across load simulations")
-	lgSojourn = obs.Default.Histogram("chiron_loadgen_sojourn", "request sojourn time (queueing + service, virtual seconds)", nil)
 )
 
 // kernelPool recycles event kernels across runs: MaxRate's binary search
@@ -87,10 +80,6 @@ type Options struct {
 	Duration time.Duration
 	// Seed drives arrivals and service sampling.
 	Seed int64
-	// Rec, when non-nil, receives one span per served request (PID 0,
-	// category "load") and a queue-depth counter sample at every
-	// arrival and departure, all in virtual time.
-	Rec obs.Recorder
 }
 
 // Simulate runs an open-loop experiment: Poisson arrivals at `rate`
@@ -117,11 +106,6 @@ func Simulate(s Server, rate float64, opt Options) (*Stats, error) {
 	var queue []pending
 	var sojourns []time.Duration
 	maxQueue := 0
-	sampleQueue := func() {
-		if opt.Rec != nil {
-			opt.Rec.RecordSample(obs.Sample{PID: 0, Name: "queue_depth", At: k.Now(), Value: float64(len(queue))})
-		}
-	}
 
 	var serve func(p pending)
 	serve = func(p pending) {
@@ -129,19 +113,10 @@ func Simulate(s Server, rate float64, opt Options) (*Stats, error) {
 		svc := s.ServiceTimes[rng.Intn(len(s.ServiceTimes))]
 		k.After(svc, func() {
 			sojourns = append(sojourns, k.Now()-p.arrived)
-			lgServed.Inc()
-			lgSojourn.Observe(k.Now() - p.arrived)
-			if opt.Rec != nil {
-				opt.Rec.RecordSpan(obs.Span{
-					PID: 0, TID: 0, Name: "req", Cat: obs.CatLoad,
-					Start: p.arrived, End: k.Now(),
-				})
-			}
 			free++
 			if len(queue) > 0 {
 				next := queue[0]
 				queue = queue[1:]
-				sampleQueue()
 				serve(next)
 			}
 		})
@@ -158,7 +133,6 @@ func Simulate(s Server, rate float64, opt Options) (*Stats, error) {
 			if len(queue) > maxQueue {
 				maxQueue = len(queue)
 			}
-			sampleQueue()
 		}
 		gap := time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 		if next := k.Now() + gap; next <= opt.Duration {

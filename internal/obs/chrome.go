@@ -154,7 +154,6 @@ var timelineGlyphs = map[string]byte{
 	CatBoundary: 'b',
 	CatCold:     'c',
 	CatPlan:     'p',
-	CatLoad:     'l',
 }
 
 // Timeline renders the trace as a fixed-width text chart via

@@ -47,7 +47,6 @@ const (
 	CatBoundary = "boundary"
 	CatCache    = "cache"
 	CatPlan     = "plan"
-	CatLoad     = "load"
 	CatHedge    = "hedge"
 )
 

@@ -1,10 +1,10 @@
 package obs
 
 // Strict validator for the Prometheus text exposition format (the
-// classic 0.0.4 dialect WriteProm emits). CI's obs-smoke target runs it
-// against a live /metrics scrape via cmd/promcheck, so a malformed
-// label escape or a histogram missing its +Inf bucket fails the build
-// instead of silently confusing a scraper. The checks go beyond line
+// classic 0.0.4 dialect WriteProm emits). chirond's TestDaemonSmoke runs
+// it against every live /metrics scrape, so a malformed label escape or
+// a histogram missing its +Inf bucket fails the build instead of
+// silently confusing a scraper. The checks go beyond line
 // syntax: histogram bucket series must be cumulative-monotone, end at
 // le="+Inf", and agree with their _count sample.
 

@@ -132,7 +132,7 @@ func TestPoolColdCancelAccounting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := pool.acquire(ctx)
+		_, err := pool.acquire(ctx, false)
 		done <- err
 	}()
 	waitFor(t, func() bool { return a.m.cold.Value() == 1 }) // boot has begun
@@ -159,12 +159,51 @@ func TestPoolColdCancelAccounting(t *testing.T) {
 	}
 
 	// The pool still serves: a fresh acquire boots cold and parks warm.
-	cold, err := pool.acquire(context.Background())
+	cold, err := pool.acquire(context.Background(), false)
 	if err != nil || !cold {
 		t.Fatalf("acquire after cancel: cold=%v err=%v", cold, err)
 	}
 	pool.release(time.Now())
 	if st := pool.stats(); st.Warm != 1 || st.Total != 1 {
 		t.Fatalf("pool after release: %+v", st)
+	}
+}
+
+// TestPoolHedgeBootKept: a hedge's cold boot cut short by its context
+// (the primary won) is not unwound. The instance parks warm, is not
+// counted as cancelled, and serves the next lease as a warm hit.
+func TestPoolHedgeBootKept(t *testing.T) {
+	a := testApp(t, Options{Scale: 1}) // coldWall = full 167ms ColdStart
+	if _, err := a.Register(testWorkflow(4 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, a, "wf-test", 400*time.Millisecond)
+	pool := a.wfs["wf-test"].active.Load().pool
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.acquire(ctx, true)
+		done <- err
+	}()
+	waitFor(t, func() bool { return a.m.cold.Value() == 1 }) // boot has begun
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled hedge acquire: %v, want Canceled", err)
+	}
+	if got := a.m.coldCancelled.Value(); got != 0 {
+		t.Fatalf("cold_cancelled_total = %d, want 0 (the boot was kept)", got)
+	}
+	if st := pool.stats(); st.Warm != 1 || st.Total != 1 || st.ResidentMB != pool.perInstMB {
+		t.Fatalf("pool after a kept hedge boot: %+v, want 1 warm of 1", st)
+	}
+
+	cold, err := pool.acquire(context.Background(), false)
+	if err != nil || cold {
+		t.Fatalf("acquire after a kept hedge boot: cold=%v err=%v, want a warm hit", cold, err)
+	}
+	pool.release(time.Now())
+	if got := a.m.cold.Value(); got != 1 {
+		t.Fatalf("coldstarts_total = %d, want 1", got)
 	}
 }

@@ -158,7 +158,7 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 	sloNow := wf.adm.slo()
 	start := time.Now()
 
-	cold, err := ps.pool.acquire(ctx)
+	cold, err := ps.pool.acquire(ctx, false)
 	if err != nil {
 		fl.Finish(fr, flight.Info{
 			Workflow: wf.name, Latency: a.nominalSince(start) + wait, SLO: sloNow, Err: err,

@@ -5,6 +5,11 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"chiron/internal/behavior"
+	"chiron/internal/dag"
+	"chiron/internal/obs"
+	"chiron/internal/obs/flight"
 )
 
 func TestHashNameFNV(t *testing.T) {
@@ -89,6 +94,69 @@ func TestAdmitHashZeroAlloc(t *testing.T) {
 		}
 	}); avg > 0 {
 		t.Fatalf("unknown-hash reject allocates %.1f per run, want 0", avg)
+	}
+}
+
+// TestServedRequestAllocs budgets a whole served request, AdmitHash +
+// Execute, with the flight recorder and registry wired as chirond wires
+// them (default sampling and ring). Window 1<<20 freezes the adaptive
+// controller, as bench/e2e does: a re-plan would count its own
+// allocations. A one-minute SLO keeps every request within it; at the
+// auto SLO each one violates it, and the first 64 a second are retained
+// with a full trace copy.
+func TestServedRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation budgets are checked without it")
+	}
+	null, err := dag.FromStages("null", 0, []*behavior.Spec{{
+		Name:     "null",
+		Runtime:  behavior.Python,
+		Segments: []behavior.Segment{{Kind: behavior.CPU, Dur: time.Microsecond}},
+		MemMB:    1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		wf     *dag.Workflow // nil: the builtin of that name
+		scale  float64
+		budget float64
+	}{
+		{"null", null, 0.001, 4},
+		// 14 in most runs, 15 in some: retention (the 1% healthy sample
+		// and the rolling-p99 slow rule) is random, a retained trace is
+		// copied into the ring, and AllocsPerRun truncates the mean.
+		{"SocialNetwork", nil, 0.01, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			fl := flight.New(flight.Options{Reg: reg})
+			a := testApp(t, Options{Scale: tc.scale, Window: 1 << 20, Reg: reg, Flight: fl})
+			if tc.wf != nil {
+				_, err = a.Register(tc.wf)
+			} else {
+				_, err = a.RegisterBuiltin(tc.name)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustPlan(t, a, tc.name, time.Minute)
+			h, ctx := HashName(tc.name), context.Background()
+			run := func() {
+				ad, err := a.AdmitHash(ctx, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ad.Execute(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // boot the warm instance and compile the program
+			if avg := testing.AllocsPerRun(100, run); avg > tc.budget {
+				t.Fatalf("served request allocates %.2f per run, budget %.0f", avg, tc.budget)
+			}
+		})
 	}
 }
 

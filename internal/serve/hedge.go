@@ -130,9 +130,9 @@ func (h *hedgeRun) hedge() {
 			At: time.Duration(float64(h.delay) / a.opt.Scale),
 		})
 	}
-	// The hedge leases its own instance; a cancelled boot is unwound by
-	// acquireN's rollback accounting.
-	if _, err := h.ps.pool.acquire(h.ctx); err != nil {
+	// The hedge leases its own instance. A cold boot the primary's win
+	// cuts short still joins the pool.
+	if _, err := h.ps.pool.acquire(h.ctx, true); err != nil {
 		return
 	}
 	r, err := h.prog.Run(h.ctx, a.liveOptions(h.rec))

@@ -395,7 +395,7 @@ func TestCheckInvariantsReportsViolations(t *testing.T) {
 		t.Fatalf("fresh app: %v", err)
 	}
 	pool := a.wfs["wf-test"].active.Load().pool
-	if _, err := pool.acquire(context.Background()); err != nil {
+	if _, err := pool.acquire(context.Background(), false); err != nil {
 		t.Fatal(err)
 	}
 	a.m.hedges.Inc()

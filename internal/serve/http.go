@@ -94,7 +94,7 @@ func isDeadline(err error) bool {
 
 func (a *App) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Default is the classic 0.0.4 text format, which strict classic
-	// parsers (cmd/promcheck) accept. ?exemplars=1 or an OpenMetrics
+	// parsers (obs.CheckProm) accept. ?exemplars=1 or an OpenMetrics
 	// Accept header switches to the OpenMetrics rendering, whose bucket
 	// exemplars link latency buckets to retained flight trace ids.
 	if r.URL.Query().Get("exemplars") == "1" ||

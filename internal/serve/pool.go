@@ -64,73 +64,54 @@ func newWarmPool(a *App, plan *wrap.Plan, w *dag.Workflow, keepAlive time.Durati
 // acquire leases an instance, booting cold when no warm one is idle.
 // The cold boot honours ctx; the returned cold flag tells the caller to
 // charge ColdStart to the request.
-func (p *warmPool) acquire(ctx context.Context) (cold bool, err error) {
-	n, err := p.acquireN(ctx, 1)
-	return n > 0, err
-}
-
-// acquireN leases n instances at once — the hedging path needs two —
-// taking warm instances first and booting the remainder cold under one
-// shared boot sleep (the boots proceed concurrently, like n containers
-// starting side by side). It returns how many of the leases were cold.
 //
-// On ctx cancellation mid-boot every lease is handed back: warm takes
-// are re-parked, cold boots are unwound from leased/total and the
-// resident gauge, and the cold boots that never served are recorded in
-// chiron_serve_cold_cancelled_total — the coldstarts counter stays
-// monotonic (Prometheus counters must), so capacity accounting
-// reconciles as coldstarts - cold_cancelled.
-func (p *warmPool) acquireN(ctx context.Context, n int) (cold int, err error) {
+// When ctx ends mid-boot, a primary attempt's lease is handed back: the
+// boot is unwound from leased/total and the resident gauge, and
+// recorded in chiron_serve_cold_cancelled_total — the coldstarts
+// counter stays monotonic (Prometheus counters must), so capacity
+// accounting reconciles as coldstarts - cold_cancelled. A hedge's boot
+// (usually cut short by the primary's win) is kept instead: the
+// instance parks warm at the cold end of the idle list, so it is leased
+// last, by the next hedge rather than the next primary. A workflow that
+// hedges needs a second instance while a request is in flight;
+// unwinding the boot would keep a serially loaded pool at one instance,
+// so every hedge would boot cold and lose to the primary it was meant
+// to cut.
+func (p *warmPool) acquire(ctx context.Context, hedge bool) (cold bool, err error) {
 	p.mu.Lock()
-	warmTake := len(p.warm)
-	if warmTake > n {
-		warmTake = n
+	p.leased++
+	if n := len(p.warm); n > 0 {
+		p.warm = p.warm[:n-1]
+		p.mu.Unlock()
+		p.app.m.warmHits.Inc()
+		p.app.m.warmGauge.Add(-1)
+		return false, nil
 	}
-	p.warm = p.warm[:len(p.warm)-warmTake]
-	cold = n - warmTake
-	p.leased += n
-	p.total += cold
+	p.total++
 	p.mu.Unlock()
-	if warmTake > 0 {
-		p.app.m.warmHits.Add(uint64(warmTake))
-		p.app.m.warmGauge.Add(int64(-warmTake))
+	p.app.m.cold.Inc()
+	p.app.m.resident.Add(int64(p.perInstMB))
+	if p.coldWall <= 0 {
+		return true, nil
 	}
-	if cold == 0 {
-		return 0, nil
+	t := time.NewTimer(p.coldWall)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true, nil
+	case <-ctx.Done():
 	}
-	p.app.m.cold.Add(uint64(cold))
-	p.app.m.resident.Add(int64(cold) * int64(p.perInstMB))
-	if p.coldWall > 0 {
-		t := time.NewTimer(p.coldWall)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			now := time.Now()
-			p.mu.Lock()
-			p.leased -= n
-			p.total -= cold
-			parked := 0
-			if p.retired {
-				p.total -= warmTake
-			} else {
-				for i := 0; i < warmTake; i++ {
-					p.warm = append(p.warm, p.expiry(now))
-				}
-				parked = warmTake
-			}
-			p.mu.Unlock()
-			p.app.m.resident.Add(int64(-cold) * int64(p.perInstMB))
-			if parked > 0 {
-				p.app.m.warmGauge.Add(int64(parked))
-			} else if warmTake > 0 {
-				p.app.m.resident.Add(int64(-warmTake) * int64(p.perInstMB))
-			}
-			p.app.m.coldCancelled.Add(uint64(cold))
-			return 0, context.Cause(ctx)
-		}
+	if hedge {
+		p.park(time.Now(), true)
+	} else {
+		p.mu.Lock()
+		p.leased--
+		p.total--
+		p.mu.Unlock()
+		p.app.m.resident.Add(-int64(p.perInstMB))
+		p.app.m.coldCancelled.Inc()
 	}
-	return cold, nil
+	return false, context.Cause(ctx)
 }
 
 // expiry computes a parked instance's eviction time: keep-alive with
@@ -145,7 +126,11 @@ func (p *warmPool) expiry(now time.Time) time.Time {
 
 // release returns a leased instance: parked warm on a live pool,
 // discarded on a retired one.
-func (p *warmPool) release(now time.Time) {
+func (p *warmPool) release(now time.Time) { p.park(now, false) }
+
+// park hands a lease back to the idle list, at its hot end (leased
+// next) or its cold end (leased last); a retired pool discards it.
+func (p *warmPool) park(now time.Time, coldEnd bool) {
 	p.mu.Lock()
 	p.leased--
 	if p.retired {
@@ -154,7 +139,14 @@ func (p *warmPool) release(now time.Time) {
 		p.app.m.resident.Add(-int64(p.perInstMB))
 		return
 	}
-	p.warm = append(p.warm, p.expiry(now))
+	exp := p.expiry(now)
+	if coldEnd {
+		p.warm = append(p.warm, time.Time{})
+		copy(p.warm[1:], p.warm)
+		p.warm[0] = exp
+	} else {
+		p.warm = append(p.warm, exp)
+	}
 	p.mu.Unlock()
 	p.app.m.warmGauge.Add(1)
 }

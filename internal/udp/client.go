@@ -12,7 +12,7 @@ import (
 var ErrTimeout = errors.New("udp: reply timeout")
 
 // Client speaks the binary invoke protocol over one connected socket.
-// It is NOT safe for concurrent use: loadgen and benchmarks run one
+// It is NOT safe for concurrent use: tests and benchmarks run one
 // Client per worker, which is also what keeps the path allocation-free
 // (fixed send/receive buffers, no per-call state).
 type Client struct {
