@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hedge bench bench-test bench-e2e ci fmt vet staticcheck tables chirond fuzz
+.PHONY: all build test race race-hedge bench bench-test bench-e2e ci fmt vet staticcheck tables tables-check chirond fuzz
 
 all: build
 
@@ -39,6 +39,12 @@ tables:
 	$(GO) run ./cmd/chiron-bench -out results
 	$(GO) run ./cmd/chiron-bench -exp ablations -out results
 
+# tables-check regenerates results/ and fails if a committed table moved:
+# the committed files are the digest. A change that means to move a paper
+# number commits the regenerated files and says why.
+tables-check: tables
+	git diff --exit-code -- results/
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -69,6 +75,7 @@ bench-test:
 bench-e2e:
 	bash bench/run.sh $(ARGS)
 
-# ci is the full gate: formatting, static analysis, race-enabled tests
-# (the hedge hand-off repeated), and the benchmark harness's own tests.
-ci: fmt vet staticcheck race race-hedge bench-test
+# ci is the full gate: formatting, static analysis, the committed paper
+# tables, race-enabled tests (the hedge hand-off repeated), and the
+# benchmark harness's own tests.
+ci: fmt vet staticcheck tables-check race race-hedge bench-test

@@ -22,7 +22,6 @@ import (
 	"chiron/internal/experiments"
 	"chiron/internal/gil"
 	"chiron/internal/model"
-	"chiron/internal/obs"
 	"chiron/internal/parallel"
 	"chiron/internal/pgp"
 	"chiron/internal/platform"
@@ -316,7 +315,7 @@ func BenchmarkGILSimulatePooled200Pool(b *testing.B) {
 // allocs/op — the UDP plane must be able to shed or admit a flood
 // without touching the garbage collector.
 func BenchmarkUDPPacketPath(b *testing.B) {
-	app := serve.New(serve.Options{Scale: 0.001, Reg: obs.NewRegistry()})
+	app := serve.New(serve.Options{Scale: 0.001})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -45,7 +45,7 @@ func stampedeWork() int {
 func BenchmarkCacheStampede(b *testing.B) {
 	const racers = 16
 	round := func(b *testing.B, miss func(c *parallel.Cache[int, int], key int)) {
-		c := parallel.NewCache[int, int](1<<20, 16, func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
+		c := parallel.NewCache[int, int](parallel.PolicyLRU, 1<<20, 16, func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -165,7 +165,7 @@ func BenchmarkCacheProfilerStampede(b *testing.B) {
 // allocation would show in allocs/op, which is exactly why the pairing
 // exists (compare TestCachedExecThreadsHitDoesNotAllocate).
 func BenchmarkCacheGetOrComputeWarm(b *testing.B) {
-	c := parallel.NewCache[string, int](64, 4, parallel.StringHash)
+	c := parallel.NewCache[string, int](parallel.PolicyLRU, 64, 4, parallel.StringHash)
 	c.Put("warm", 7)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,7 +11,6 @@
 //	chiron-bench -out results  # additionally write one .txt per experiment
 //	chiron-bench -list         # list experiment IDs
 //	chiron-bench -trace d      # write a Chrome trace of one FINRA-100 request to d/
-//	chiron-bench -metrics      # dump the metrics registry after the run
 //
 // Experiments fan out across a worker pool (-parallel, default NumCPU);
 // every experiment derives its tables from fixed seeds, so the output is
@@ -52,7 +51,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		trace   = flag.String("trace", "", "directory for a Chrome trace (trace.json), text timeline and manifest of one FINRA-100 Chiron request")
-		metrics = flag.Bool("metrics", false, "dump the obs metrics registry (Prometheus text) after the run")
 	)
 	flag.Parse()
 
@@ -125,7 +123,7 @@ func main() {
 		fmt.Printf("trace: wrote trace.json, timeline.txt and %s to %s\n", obs.ManifestName, *trace)
 		if !expSet {
 			// A bare -trace run is about the trace, not the tables.
-			printRunStats(*metrics, runStart, eventsStart, &msStart)
+			printRunStats(runStart, eventsStart, &msStart)
 			return
 		}
 	}
@@ -183,7 +181,7 @@ func main() {
 		}
 	}
 	fmt.Printf("done: %d experiment(s) in %v\n", len(ids), time.Since(start).Round(time.Millisecond))
-	printRunStats(*metrics, runStart, eventsStart, &msStart)
+	printRunStats(runStart, eventsStart, &msStart)
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
@@ -198,21 +196,17 @@ func main() {
 	}
 }
 
-// printRunStats reports the shared prediction cache and worker-pool
-// counters, the simulation-core throughput (events/sec and heap
-// allocations per event — the zero-allocation hot path's scoreboard),
-// and optionally the whole metrics registry.
-func printRunStats(dumpMetrics bool, runStart time.Time, eventsStart uint64, msStart *runtime.MemStats) {
+// printRunStats reports the shared prediction cache's counters and the
+// simulation-core throughput (events/sec and heap allocations per
+// event — the zero-allocation hot path's scoreboard).
+func printRunStats(runStart time.Time, eventsStart uint64, msStart *runtime.MemStats) {
 	cs := predict.ExecCacheStats()
-	ps := parallel.Stats()
 	hitRate := 0.0
 	if total := cs.Hits + cs.Misses; total > 0 {
 		hitRate = float64(cs.Hits) / float64(total) * 100
 	}
 	fmt.Printf("prediction cache: %d hits / %d misses / %d evictions (%.1f%% hit rate)\n",
 		cs.Hits, cs.Misses, cs.Evictions, hitRate)
-	fmt.Printf("worker pool: %d spawned / %d inline tasks, mean wait %v, mean run %v\n",
-		ps.Spawned, ps.Inline, ps.MeanWait.Round(time.Microsecond), ps.MeanRun.Round(time.Microsecond))
 	var msEnd runtime.MemStats
 	runtime.ReadMemStats(&msEnd)
 	events := sim.TotalFired() - eventsStart
@@ -221,12 +215,6 @@ func printRunStats(dumpMetrics bool, runStart time.Time, eventsStart uint64, msS
 	if events > 0 && elapsed > 0 {
 		fmt.Printf("simulation core: %d events fired (%.2fM events/sec), %.2f allocs/event\n",
 			events, float64(events)/elapsed/1e6, float64(allocs)/float64(events))
-	}
-	if dumpMetrics {
-		fmt.Println()
-		if err := obs.Default.WriteProm(os.Stdout); err != nil {
-			fatal(err)
-		}
 	}
 }
 

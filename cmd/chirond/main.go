@@ -35,9 +35,6 @@ import (
 
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
-	"chiron/internal/parallel"
-	"chiron/internal/predict"
-	"chiron/internal/profiler"
 	"chiron/internal/serve"
 	"chiron/internal/udp"
 )
@@ -98,44 +95,16 @@ func boot(argv []string, stdout, stderr io.Writer) (*daemon, error) {
 		runtimeInt   = fs.Duration("runtime-interval", 5*time.Second, "runtime/metrics polling interval for chiron_runtime_* gauges (0 disables)")
 		hedgeQ       = fs.Float64("hedge-quantile", 0, "arm a hedged second attempt once a request runs past this multiple of the bias-corrected predicted latency (0 = hedging off)")
 		hedgeMax     = fs.Int("hedge-max-inflight", 0, "max concurrent hedge attempts across all workflows (0 = default 64)")
-
-		// Cache policy/size knobs. Defaults: LRU for predict and profiler
-		// (small, strongly re-referenced working sets), 2Q for the negative
-		// cache (junk-name floods must not evict repeat-probed names;
-		// parallel's TestTwoQBeatsLRUOnScanMixes).
-		predictPol  = fs.String("predict-cache", "lru", "prediction cache policy: lru, 2q or lfu")
-		predictSize = fs.Int("predict-cache-size", 0, "prediction cache capacity in entries (0 = default 32768)")
-		profilePol  = fs.String("profile-cache", "lru", "profiler memo policy: lru, 2q or lfu")
-		profileSize = fs.Int("profile-cache-size", 0, "profiler memo capacity in entries (0 = default 4096)")
-		negPol      = fs.String("neg-cache", "2q", "negative workflow-lookup cache policy: lru, 2q or lfu")
-		negSize     = fs.Int("neg-cache-size", 0, "negative cache capacity in entries (0 = default 1024)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return nil, err
 	}
 
-	// Boot-time cache configuration, before any planning or traffic: the
-	// Configure* swaps are not synchronized with in-flight lookups.
-	pp, err := parallel.ParsePolicy(*predictPol)
-	if err != nil {
-		return nil, fmt.Errorf("-predict-cache: %w", err)
-	}
-	predict.ConfigureExecCache(pp, *predictSize)
-	fp, err := parallel.ParsePolicy(*profilePol)
-	if err != nil {
-		return nil, fmt.Errorf("-profile-cache: %w", err)
-	}
-	profiler.ConfigureProfileCache(fp, *profileSize)
-	np, err := parallel.ParsePolicy(*negPol)
-	if err != nil {
-		return nil, fmt.Errorf("-neg-cache: %w", err)
-	}
-
-	// The daemon serves the process-wide default registry so /metrics
-	// includes the process-wide caches (chiron_predict_cache_*,
-	// chiron_profile_cache_*) and worker-pool gauges next to the serving
-	// counters, not just what serve registers itself.
-	reg := obs.Default
+	// One registry per daemon: build info, the flight recorder, the
+	// serving plane, UDP ingress and the runtime bridge all publish into
+	// it, and /metrics serves it. Nothing else in the process does, so two
+	// daemons in one process share no series.
+	reg := obs.NewRegistry()
 	build := obs.RegisterBuildInfo(reg)
 	fl := flight.New(flight.Options{
 		RingSize:   *flightRing,
@@ -154,8 +123,6 @@ func boot(argv []string, stdout, stderr io.Writer) (*daemon, error) {
 		MinImprovement: *minImp,
 		RollbackGuard:  *rbGuard,
 		PlanHistory:    *history,
-		NegCachePolicy: np,
-		NegCacheCap:    *negSize,
 		Reg:            reg,
 		Flight:         fl,
 
@@ -189,6 +156,7 @@ func boot(argv []string, stdout, stderr io.Writer) (*daemon, error) {
 		drainWait:  *drainWait,
 		stdout:     stdout,
 	}
+	var err error
 	if d.ln, err = net.Listen("tcp", *addr); err != nil {
 		return nil, err
 	}
@@ -198,7 +166,7 @@ func boot(argv []string, stdout, stderr io.Writer) (*daemon, error) {
 	// Binary UDP ingress: same app, so UDP invocations share the HTTP
 	// plane's admission queues, warm pools and metrics registry.
 	if *udpAddr != "" {
-		if d.usrv, err = udp.New(app, udp.Options{Addr: *udpAddr, Reg: app.Registry()}); err != nil {
+		if d.usrv, err = udp.New(app, udp.Options{Addr: *udpAddr, Reg: reg}); err != nil {
 			d.ln.Close()
 			return nil, err
 		}

@@ -24,31 +24,11 @@ import (
 // as deltas between two /metrics scrapes, so the legs do not depend on
 // one another's traffic.
 //
-// It boots once per process: chirond serves obs.Default, and Shutdown
-// leaves the warm-instance gauge set, so a second App in this process
-// would start with the first one's gauges and fail CheckInvariants.
-//
 // Every pool starts empty and the adaptive controller is live, as in a
 // freshly started daemon.
 func TestDaemonSmoke(t *testing.T) {
 	var stdout bytes.Buffer
-	d, err := boot([]string{
-		"-addr", "127.0.0.1:0", "-udp", "127.0.0.1:0",
-		"-scale", "0.01", "-hedge-quantile", "1.5",
-	}, &stdout, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- d.serve(ctx) }()
-	drained := false
-	t.Cleanup(func() {
-		if !drained {
-			cancel()
-			<-served
-		}
-	})
+	d, drain := start(t, &stdout, "-udp", "127.0.0.1:0", "-scale", "0.01", "-hedge-quantile", "1.5")
 	base := "http://" + d.httpAddr.String()
 
 	if !t.Run("boot", func(t *testing.T) {
@@ -237,9 +217,7 @@ func TestDaemonSmoke(t *testing.T) {
 	})
 
 	t.Run("drain", func(t *testing.T) {
-		drained = true
-		cancel()
-		if err := <-served; err != nil {
+		if err := drain(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 		if !strings.Contains(stdout.String(), "chirond: drained cleanly") {
@@ -249,6 +227,73 @@ func TestDaemonSmoke(t *testing.T) {
 			t.Fatalf("serving-plane invariants after drain: %v", err)
 		}
 	})
+}
+
+// TestTwoDaemonsOwnTheirMetrics boots two daemons in one process. Each
+// /metrics must count only its own daemon's requests, as absolute
+// values, and each app must be at rest after its drain.
+func TestTwoDaemonsOwnTheirMetrics(t *testing.T) {
+	type booted struct {
+		d     *daemon
+		drain func() error
+		n     int
+	}
+	var ds []booted
+	for _, n := range []int{3, 5} {
+		d, drain := start(t, io.Discard, "-scale", "0.01", "-preload", "SocialNetwork", "-plan")
+		ds = append(ds, booted{d, drain, n})
+	}
+	// Both daemons serve before either is scraped, so a series they
+	// shared would count the other daemon's requests too.
+	for _, b := range ds {
+		invokeN(t, "http://"+b.d.httpAddr.String(), "SocialNetwork", b.n)
+	}
+	for i, b := range ds {
+		s := scrape(t, "http://"+b.d.httpAddr.String())
+		if _, ok := s["chiron_serve_requests_total"]; !ok {
+			t.Fatalf("daemon %d: /metrics has no chiron_serve_requests_total", i)
+		}
+		if got := s.sum("chiron_serve_requests_total"); got != float64(b.n) {
+			t.Errorf("daemon %d: chiron_serve_requests_total = %v, want %d", i, got, b.n)
+		}
+	}
+	for _, b := range ds {
+		if err := b.drain(); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	}
+	for i, b := range ds {
+		if err := b.d.app.CheckInvariants(); err != nil {
+			t.Errorf("daemon %d: serving-plane invariants after drain: %v", i, err)
+		}
+	}
+}
+
+// start boots chirond on an ephemeral HTTP port with args and serves it
+// until drain is called or the test ends. drain stops serving, waits
+// for the drain and returns serve's error, on every call.
+func start(t *testing.T, stdout io.Writer, args ...string) (d *daemon, drain func() error) {
+	t.Helper()
+	d, err := boot(append([]string{"-addr", "127.0.0.1:0"}, args...), stdout, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- d.serve(ctx) }()
+	var (
+		once     sync.Once
+		serveErr error
+	)
+	drain = func() error {
+		once.Do(func() {
+			cancel()
+			serveErr = <-served
+		})
+		return serveErr
+	}
+	t.Cleanup(func() { _ = drain() })
+	return d, drain
 }
 
 // mustPost fails the test unless the POST answers 2xx. It drains the

@@ -50,11 +50,8 @@ func ReadBuild() BuildInfo {
 //
 //	chiron_build_info{version="(devel)",go_version="go1.22.x"} 1
 //
-// on reg (Default when nil) and returns the info it stamped.
+// on reg and returns the info it stamped.
 func RegisterBuildInfo(reg *Registry) BuildInfo {
-	if reg == nil {
-		reg = Default
-	}
 	b := ReadBuild()
 	kv := []string{"version", b.Version, "go_version", b.GoVersion}
 	if b.Revision != "" {

@@ -194,8 +194,8 @@ type Options struct {
 	// bounded while the ring still fills with representative traces.
 	// Errors and forced dumps are exempt.
 	RetainPerSec int
-	// Reg receives chiron_flight_* and chiron_slo_* metrics (obs.Default
-	// when nil).
+	// Reg receives chiron_flight_* and chiron_slo_* metrics (default: a
+	// fresh registry; serve.New passes the App's own).
 	Reg *obs.Registry
 	// Now overrides the clock (tests).
 	Now func() time.Time
@@ -238,7 +238,7 @@ func (o Options) withDefaults() Options {
 		o.RetainPerSec = 64
 	}
 	if o.Reg == nil {
-		o.Reg = obs.Default
+		o.Reg = obs.NewRegistry()
 	}
 	if o.Now == nil {
 		o.Now = time.Now

@@ -39,9 +39,6 @@ func newTestFlight(opt Options) (*Flight, *fakeClock) {
 	if opt.Now == nil {
 		opt.Now = clk.Now
 	}
-	if opt.Reg == nil {
-		opt.Reg = obs.NewRegistry()
-	}
 	if opt.SampleRate == 0 {
 		opt.SampleRate = -1 // default off in tests: retention must be explainable
 	}

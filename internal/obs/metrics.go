@@ -216,11 +216,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry: the prediction cache, worker
-// pool and load generator register here, and chiron-bench -metrics
-// dumps it.
-var Default = NewRegistry()
-
 func (r *Registry) setHelp(name, help string) {
 	if help != "" {
 		r.help[name] = help

@@ -56,12 +56,9 @@ type histSnapshot struct {
 	counts  []uint64
 }
 
-// NewRuntimeBridge registers the runtime gauges on reg (Default when
-// nil). Call Collect for a one-shot sample or Start for a polling loop.
+// NewRuntimeBridge registers the runtime gauges on reg. Call Collect for
+// a one-shot sample or Start for a polling loop.
 func NewRuntimeBridge(reg *Registry) *RuntimeBridge {
-	if reg == nil {
-		reg = Default
-	}
 	b := &RuntimeBridge{
 		heap:       reg.Gauge("chiron_runtime_heap_bytes", "live heap object bytes (runtime/metrics)"),
 		goroutines: reg.Gauge("chiron_runtime_goroutines", "current goroutine count"),

@@ -1,10 +1,8 @@
 package parallel
 
 import (
-	"fmt"
 	"sync"
-
-	"chiron/internal/obs"
+	"sync/atomic"
 )
 
 // CacheStats is a point-in-time counter snapshot.
@@ -18,14 +16,15 @@ type CacheStats struct {
 }
 
 // Policy selects a shard's replacement policy. The shell (sharding, hash,
-// metrics, singleflight) is identical across policies; only what each
-// shard evicts differs. Defaults across the repo follow the traffic mixes
-// in policy_mix_test.go, not taste: TestTwoQBeatsLRUOnScanMixes is why
+// counters, singleflight) is identical across policies; only what each
+// shard evicts differs. Each cache's policy is a constant at its
+// construction site, chosen from the traffic mixes in
+// policy_mix_test.go, not taste: TestTwoQBeatsLRUOnScanMixes is why
 // serve's negative cache is 2Q.
 type Policy string
 
 const (
-	// PolicyLRU evicts the least-recently-used entry — the right default
+	// PolicyLRU evicts the least-recently-used entry — the right choice
 	// when the working set fits and recency predicts reuse.
 	PolicyLRU Policy = "lru"
 	// Policy2Q is the 2Q algorithm: new keys enter a small FIFO probation
@@ -34,20 +33,7 @@ const (
 	// scan keys churn through A1in without ever displacing the hot
 	// working set in Am.
 	Policy2Q Policy = "2q"
-	// PolicyLFU evicts the least-frequently-used entry (recency breaks
-	// frequency ties), protecting high-reuse entries against bursts of
-	// medium-frequency traffic.
-	PolicyLFU Policy = "lfu"
 )
-
-// ParsePolicy validates a policy name from a flag or config.
-func ParsePolicy(s string) (Policy, error) {
-	switch p := Policy(s); p {
-	case PolicyLRU, Policy2Q, PolicyLFU:
-		return p, nil
-	}
-	return "", fmt.Errorf("parallel: unknown cache policy %q (want lru, 2q or lfu)", s)
-}
 
 // cachePolicy is one shard's replacement policy. Implementations are not
 // thread-safe: the owning shard's mutex serializes every call. A get hit
@@ -69,8 +55,6 @@ func newPolicy[K comparable, V any](p Policy, capacity int) cachePolicy[K, V] {
 	switch p {
 	case Policy2Q:
 		return newTwoQPolicy[K, V](capacity)
-	case PolicyLFU:
-		return newLFUPolicy[K, V](capacity)
 	default:
 		return newLRUPolicy[K, V](capacity)
 	}
@@ -78,7 +62,7 @@ func newPolicy[K comparable, V any](p Policy, capacity int) cachePolicy[K, V] {
 
 // Cache is a sharded, bounded, thread-safe cache with a pluggable
 // per-shard replacement policy (in the spirit of samber/hot's
-// sharded/2q/lfu layout). Shards cut lock contention under parallel
+// sharded/2q layout). Shards cut lock contention under parallel
 // planners; each shard holds capacity/shards entries and evicts per its
 // policy on overflow.
 //
@@ -96,51 +80,18 @@ func newPolicy[K comparable, V any](p Policy, capacity int) cachePolicy[K, V] {
 type Cache[K comparable, V any] struct {
 	shards []cacheShard[K, V]
 	hash   func(K) uint64
-	// Counters are obs metrics so a cache can publish itself in a
-	// registry (NewCacheMetrics); by default they are private.
-	hits   *obs.Counter
-	misses *obs.Counter
-	evicts *obs.Counter
-	shared *obs.Counter
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	evicts atomic.Uint64
+	shared atomic.Uint64
 }
 
-// NewCache returns an LRU cache holding at most capacity entries across
-// the given number of shards (both floored at 1; shards are capped at
-// capacity so every shard can hold at least one entry). hash selects the
-// shard for a key and only needs to spread well, not be cryptographic.
-func NewCache[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[K, V] {
-	return NewCachePolicy[K, V](PolicyLRU, capacity, shards, hash)
-}
-
-// NewCachePolicy is NewCache with an explicit replacement policy.
-func NewCachePolicy[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64) *Cache[K, V] {
-	return newCache[K, V](policy, capacity, shards, hash,
-		&obs.Counter{}, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
-}
-
-// NewCacheMetrics is NewCache with the hit/miss/eviction/shared counters
-// registered in reg as <prefix>_hits_total, <prefix>_misses_total,
-// <prefix>_evictions_total and <prefix>_shared_total, so the cache shows
-// up in metric dumps (chiron-bench -metrics) without a bespoke reporting
-// path.
-func NewCacheMetrics[K comparable, V any](capacity, shards int, hash func(K) uint64, reg *obs.Registry, prefix string) *Cache[K, V] {
-	return NewCachePolicyMetrics[K, V](PolicyLRU, capacity, shards, hash, reg, prefix)
-}
-
-// NewCachePolicyMetrics is NewCacheMetrics with an explicit replacement
-// policy. Re-creating a cache under the same prefix (ConfigureExecCache
-// and friends) reuses the registered counters, so metric continuity
-// survives a policy swap.
-func NewCachePolicyMetrics[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64, reg *obs.Registry, prefix string) *Cache[K, V] {
-	return newCache[K, V](policy, capacity, shards, hash,
-		reg.Counter(prefix+"_hits_total", "cache lookups served from the cache"),
-		reg.Counter(prefix+"_misses_total", "cache lookups that fell through to compute"),
-		reg.Counter(prefix+"_evictions_total", "cached entries displaced by inserts"),
-		reg.Counter(prefix+"_shared_total", "concurrent misses served by another goroutine's in-flight compute"),
-	)
-}
-
-func newCache[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64, hits, misses, evicts, shared *obs.Counter) *Cache[K, V] {
+// NewCache returns a cache holding at most capacity entries across the
+// given number of shards (both floored at 1; shards are capped at
+// capacity so every shard can hold at least one entry), each shard
+// evicting per policy. hash selects the shard for a key and only needs
+// to spread well, not be cryptographic.
+func NewCache[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -153,7 +104,6 @@ func newCache[K comparable, V any](policy Policy, capacity, shards int, hash fun
 	c := &Cache[K, V]{
 		shards: make([]cacheShard[K, V], shards),
 		hash:   hash,
-		hits:   hits, misses: misses, evicts: evicts, shared: shared,
 	}
 	per := capacity / shards
 	if per < 1 {
@@ -188,9 +138,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	v, ok := s.pol.get(key)
 	s.mu.Unlock()
 	if ok {
-		c.hits.Inc()
+		c.hits.Add(1)
 	} else {
-		c.misses.Inc()
+		c.misses.Add(1)
 	}
 	return v, ok
 }
@@ -202,8 +152,8 @@ func (c *Cache[K, V]) Put(key K, v V) {
 	s.mu.Lock()
 	n := s.pol.put(key, v)
 	s.mu.Unlock()
-	for ; n > 0; n-- {
-		c.evicts.Inc()
+	if n > 0 {
+		c.evicts.Add(uint64(n))
 	}
 }
 
@@ -234,10 +184,10 @@ func (c *Cache[K, V]) Purge() {
 // Stats returns cumulative hit/miss/eviction/shared counters.
 func (c *Cache[K, V]) Stats() CacheStats {
 	return CacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evicts.Value(),
-		Shared:    c.shared.Value(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evicts.Load(),
+		Shared:    c.shared.Load(),
 	}
 }
 

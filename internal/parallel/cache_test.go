@@ -7,7 +7,7 @@ import (
 )
 
 func TestCacheGetPut(t *testing.T) {
-	c := NewCache[string, int](8, 1, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 1, StringHash)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -25,7 +25,7 @@ func TestCacheGetPut(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache[string, int](3, 1, StringHash)
+	c := NewCache[string, int](PolicyLRU, 3, 1, StringHash)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
@@ -46,7 +46,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheCapacityBound(t *testing.T) {
 	const capacity, shards = 64, 8
-	c := NewCache[string, int](capacity, shards, StringHash)
+	c := NewCache[string, int](PolicyLRU, capacity, shards, StringHash)
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
@@ -56,7 +56,7 @@ func TestCacheCapacityBound(t *testing.T) {
 }
 
 func TestCacheShardingSpreads(t *testing.T) {
-	c := NewCache[string, int](1024, 16, StringHash)
+	c := NewCache[string, int](PolicyLRU, 1024, 16, StringHash)
 	for i := 0; i < 1024; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
@@ -74,7 +74,7 @@ func TestCacheShardingSpreads(t *testing.T) {
 }
 
 func TestCacheGetOrCompute(t *testing.T) {
-	c := NewCache[string, int](8, 2, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 2, StringHash)
 	calls := 0
 	for i := 0; i < 3; i++ {
 		v := c.GetOrCompute("k", func() int { calls++; return 7 })
@@ -92,7 +92,7 @@ func TestCacheGetOrCompute(t *testing.T) {
 }
 
 func TestCachePurge(t *testing.T) {
-	c := NewCache[string, int](8, 2, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 2, StringHash)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Purge()
@@ -105,7 +105,7 @@ func TestCachePurge(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache[string, int](256, 8, StringHash)
+	c := NewCache[string, int](PolicyLRU, 256, 8, StringHash)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

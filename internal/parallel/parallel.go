@@ -1,7 +1,7 @@
 // Package parallel is the repo-wide deterministic execution layer: a
 // bounded worker pool with order-preserving fan-out, hash-based per-task
-// seed derivation, and (in cache.go) a sharded bounded LRU used as the
-// process-wide prediction cache.
+// seed derivation, and (in cache.go) the sharded bounded cache behind the
+// process-wide prediction and profiler memos.
 //
 // Every simulated request, (workload x system) configuration and whole
 // experiment in this repository is an independent, seeded, deterministic
@@ -22,7 +22,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"time"
 )
 
 var (
@@ -81,17 +80,16 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		submitted := time.Now()
 		release := acquire()
 		if release == nil {
-			instrument(submitted, true, func() { out[i], errs[i] = fn(i) })
+			out[i], errs[i] = fn(i)
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer release()
-			instrument(submitted, false, func() { out[i], errs[i] = fn(i) })
+			out[i], errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()
@@ -107,17 +105,16 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 func ForEach(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		submitted := time.Now()
 		release := acquire()
 		if release == nil {
-			instrument(submitted, true, func() { fn(i) })
+			fn(i)
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer release()
-			instrument(submitted, false, func() { fn(i) })
+			fn(i)
 		}(i)
 	}
 	wg.Wait()

@@ -100,7 +100,7 @@ func TestTwoQBeatsLRUOnScanMixes(t *testing.T) {
 	} {
 		hits := map[Policy]uint64{}
 		for _, pol := range []Policy{PolicyLRU, Policy2Q} {
-			c := NewCachePolicy[string, int](pol, mix.capacity, 16, StringHash)
+			c := NewCache[string, int](pol, mix.capacity, 16, StringHash)
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < mixPerWorker; i++ {
 					for _, seq := range mix.seqs {
@@ -125,7 +125,7 @@ func TestTwoQBeatsLRUOnScanMixes(t *testing.T) {
 // hit_rate column is comparable between sub-benchmarks.
 func benchCacheMix(b *testing.B, pol Policy, capacity int, key func(rng *rand.Rand) string) {
 	seqs := mixSeqs(key)
-	c := NewCachePolicy[string, int](pol, capacity, 16, StringHash)
+	c := NewCache[string, int](pol, capacity, 16, StringHash)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -150,7 +150,7 @@ func benchCacheMix(b *testing.B, pol Policy, capacity int, key func(rng *rand.Ra
 
 // BenchmarkCacheHitHeavy: every policy hits ≈1.0 here, so ns/op is the
 // column that differs — the price of each policy's promotion bookkeeping
-// (LRU relinks a ring node, 2Q mostly holds still, LFU sifts a heap).
+// (LRU relinks a ring node, 2Q mostly holds still).
 func BenchmarkCacheHitHeavy(b *testing.B) {
 	for _, pol := range allPolicies {
 		b.Run(string(pol), func(b *testing.B) {

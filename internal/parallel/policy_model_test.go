@@ -7,19 +7,7 @@ import (
 )
 
 // allPolicies enumerates the pluggable policies for table-driven tests.
-var allPolicies = []Policy{PolicyLRU, Policy2Q, PolicyLFU}
-
-func TestParsePolicy(t *testing.T) {
-	for _, p := range allPolicies {
-		got, err := ParsePolicy(string(p))
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %q, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("arc"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown policy")
-	}
-}
+var allPolicies = []Policy{PolicyLRU, Policy2Q}
 
 // TestPolicyModelProperties drives every policy with a long seeded random
 // op sequence against a reference model, checking the invariants that
@@ -186,40 +174,6 @@ func TestTwoQPromotionLifecycle(t *testing.T) {
 	}
 }
 
-// TestLFUFrequencyEviction checks the LFU contract: overflow evicts the
-// lowest-frequency entry, and recency breaks ties (the staler entry of
-// equal frequency goes first).
-func TestLFUFrequencyEviction(t *testing.T) {
-	p := newLFUPolicy[string, int](3)
-	p.put("a", 1) // freq 1
-	p.get("a")
-	p.get("a") // freq 3
-	p.put("b", 2)
-	p.get("b")    // freq 2
-	p.put("c", 3) // freq 1
-	p.put("d", 4) // evicts c: lowest frequency
-	if _, ok := p.get("c"); ok {
-		t.Fatal("lowest-frequency entry survived overflow")
-	}
-	for _, k := range []string{"a", "b", "d"} {
-		if _, ok := p.get(k); !ok {
-			t.Fatalf("%q evicted wrongly", k)
-		}
-	}
-
-	// Tie-break: equal frequency, oldest touch evicted first.
-	p2 := newLFUPolicy[string, int](2)
-	p2.put("x", 1)
-	p2.put("y", 2) // both freq 1, x older
-	p2.put("z", 3) // evicts x
-	if _, ok := p2.get("x"); ok {
-		t.Fatal("older of two equal-frequency entries survived")
-	}
-	if _, ok := p2.get("y"); !ok {
-		t.Fatal("newer of two equal-frequency entries evicted")
-	}
-}
-
 // TestCachePolicyShellIntegration runs the full sharded shell (not bare
 // policies) under every policy: capacity bound across shards, hit
 // correctness, purge, and eviction counters consistent with Len.
@@ -227,7 +181,7 @@ func TestCachePolicyShellIntegration(t *testing.T) {
 	const capacity = 64
 	for _, pol := range allPolicies {
 		t.Run(string(pol), func(t *testing.T) {
-			c := NewCachePolicy[string, int](pol, capacity, 8, StringHash)
+			c := NewCache[string, int](pol, capacity, 8, StringHash)
 			for i := 0; i < 10*capacity; i++ {
 				k := fmt.Sprintf("key-%d", i%(2*capacity))
 				c.Put(k, i)
@@ -251,12 +205,11 @@ func TestCachePolicyShellIntegration(t *testing.T) {
 }
 
 // TestCachePolicyHitPathZeroAlloc pins the shell's promise: a warm Get is
-// allocation-free under every policy (LRU relinks, 2Q relinks or holds,
-// LFU sifts a heap in place).
+// allocation-free under every policy (LRU relinks, 2Q relinks or holds).
 func TestCachePolicyHitPathZeroAlloc(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(string(pol), func(t *testing.T) {
-			c := NewCachePolicy[string, int](pol, 64, 4, StringHash)
+			c := NewCache[string, int](pol, 64, 4, StringHash)
 			c.Put("warm", 7)
 			var v int
 			if avg := testing.AllocsPerRun(200, func() {
@@ -275,7 +228,7 @@ func TestCachePolicyHitPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzCachePolicies feeds arbitrary op tapes to all three policies at
+// FuzzCachePolicies feeds arbitrary op tapes to both policies at
 // once, holding every policy to the shared model: bounded live size, and
 // hits that return exactly the last value put for the key.
 func FuzzCachePolicies(f *testing.F) {

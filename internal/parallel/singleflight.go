@@ -45,7 +45,7 @@ func (c *Cache[K, V]) GetOrComputeErr(key K, fn func() (V, error)) (v V, compute
 	s.mu.Lock()
 	if v, ok := s.pol.get(key); ok {
 		s.mu.Unlock()
-		c.hits.Inc()
+		c.hits.Add(1)
 		return v, false, nil
 	}
 	return c.computeLocked(s, key, fn, true)
@@ -66,7 +66,7 @@ func (c *Cache[K, V]) ComputeMissed(key K, fn func() (V, error)) (v V, computed 
 		// flight a moment earlier — count it Shared so the invariant
 		// above stays exact.
 		s.mu.Unlock()
-		c.shared.Inc()
+		c.shared.Add(1)
 		return v, false, nil
 	}
 	return c.computeLocked(s, key, fn, false)
@@ -79,9 +79,9 @@ func (c *Cache[K, V]) computeLocked(s *cacheShard[K, V], key K, fn func() (V, er
 	if f, ok := s.fl[key]; ok {
 		s.mu.Unlock()
 		if countMiss {
-			c.misses.Inc()
+			c.misses.Add(1)
 		}
-		c.shared.Inc()
+		c.shared.Add(1)
 		<-f.done
 		return f.val, false, f.err
 	}
@@ -92,7 +92,7 @@ func (c *Cache[K, V]) computeLocked(s *cacheShard[K, V], key K, fn func() (V, er
 	s.fl[key] = f
 	s.mu.Unlock()
 	if countMiss {
-		c.misses.Inc()
+		c.misses.Add(1)
 	}
 
 	finished := false
@@ -118,8 +118,8 @@ func (c *Cache[K, V]) computeLocked(s *cacheShard[K, V], key K, fn func() (V, er
 	}
 	s.mu.Unlock()
 	close(f.done)
-	for ; evicted > 0; evicted-- {
-		c.evicts.Inc()
+	if evicted > 0 {
+		c.evicts.Add(uint64(evicted))
 	}
 	return f.val, true, f.err
 }

@@ -18,7 +18,7 @@ func TestGetOrComputeStampede(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(string(pol), func(t *testing.T) {
 			const goroutines = 100
-			c := NewCachePolicy[string, int](pol, 64, 4, StringHash)
+			c := NewCache[string, int](pol, 64, 4, StringHash)
 
 			var loaders atomic.Int64
 			var entered sync.WaitGroup
@@ -72,7 +72,7 @@ func TestGetOrComputeStampede(t *testing.T) {
 // goroutine fell into.
 func TestComputeMissedStampede(t *testing.T) {
 	const goroutines = 100
-	c := NewCache[string, int](64, 4, StringHash)
+	c := NewCache[string, int](PolicyLRU, 64, 4, StringHash)
 
 	var loaders atomic.Int64
 	var entered sync.WaitGroup
@@ -118,7 +118,7 @@ func TestComputeMissedStampede(t *testing.T) {
 // every waiter of that flight, but the next lookup runs a fresh loader —
 // failures are never cached.
 func TestGetOrComputeErrNotCached(t *testing.T) {
-	c := NewCache[string, int](8, 1, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 1, StringHash)
 	boom := errors.New("boom")
 
 	calls := 0
@@ -150,7 +150,7 @@ func TestGetOrComputeErrNotCached(t *testing.T) {
 // TestGetOrComputeErrSharedError: waiters joined to a failing flight all
 // observe the winner's error (not a zero value silently).
 func TestGetOrComputeErrSharedError(t *testing.T) {
-	c := NewCache[string, int](8, 1, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 1, StringHash)
 	boom := errors.New("boom")
 
 	started := make(chan struct{})
@@ -210,7 +210,7 @@ func waitForShared(c *Cache[string, int], n uint64) {
 // propagates on the winner's goroutine, and the key computes cleanly
 // afterwards.
 func TestGetOrComputePanicWakesWaiters(t *testing.T) {
-	c := NewCache[string, int](8, 1, StringHash)
+	c := NewCache[string, int](PolicyLRU, 8, 1, StringHash)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -256,7 +256,7 @@ func TestGetOrComputePanicWakesWaiters(t *testing.T) {
 // not globally — distinct keys compute concurrently and each exactly
 // once.
 func TestGetOrComputeDistinctKeysConcurrent(t *testing.T) {
-	c := NewCache[int, int](256, 8, func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
+	c := NewCache[int, int](PolicyLRU, 256, 8, func(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 })
 	var loaders atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"chiron/internal/obs"
 	"chiron/internal/parallel"
 	"chiron/internal/wrap"
 )
@@ -79,29 +78,15 @@ func execKeyHash(k execKey) uint64 {
 // a group priced once is never simulated again, no matter which component
 // asks. Entries are pure functions of their key, so cache state can change
 // wall-clock time but never results.
-// Counters publish in obs.Default as chiron_predict_cache_*.
 //
-// The default policy is LRU: PGP's candidate fan-out re-prices the same
-// groups within a tight window, so the working set fits and the cheapest
-// hit path wins (BenchmarkCacheHitHeavy in internal/parallel). 2Q's
-// probation queue only pays off when scan traffic floods the cache
-// faster than 1<<15 entries absorb (TestTwoQBeatsLRUOnScanMixes is the
-// shape where it inverts). ConfigureExecCache swaps either knob at boot.
-var execCache = parallel.NewCachePolicyMetrics[execKey, time.Duration](
-	parallel.PolicyLRU, 1<<15, 16, execKeyHash, obs.Default, "chiron_predict_cache")
-
-// ConfigureExecCache rebuilds the process-wide prediction cache with an
-// explicit policy and capacity (capacity <= 0 keeps the default 1<<15).
-// Call it at boot (chirond -predict-cache), before traffic: the swap is
-// not synchronized with in-flight lookups. Counters are reused across
-// the swap, so metric continuity survives reconfiguration.
-func ConfigureExecCache(policy parallel.Policy, capacity int) {
-	if capacity <= 0 {
-		capacity = 1 << 15
-	}
-	execCache = parallel.NewCachePolicyMetrics[execKey, time.Duration](
-		policy, capacity, 16, execKeyHash, obs.Default, "chiron_predict_cache")
-}
+// LRU, 1<<15 entries, 16 shards. PGP's candidate fan-out re-prices the
+// same groups within a tight window, so the working set fits and
+// recency predicts reuse. LRU's hit is not the cheapest, though: on
+// BenchmarkCacheHitHeavy (internal/parallel) every key stays in 2Q's
+// probation FIFO, whose hits do not relink, while every LRU hit relinks
+// its ring node, and 2Q reads fewer ms/op (DESIGN §12). The policy stays
+// LRU until a workload measures this cache's own traffic.
+var execCache = parallel.NewCache[execKey, time.Duration](parallel.PolicyLRU, 1<<15, 16, execKeyHash)
 
 // ExecCacheStats exposes the shared cache's counters (benchmarks track the
 // hit rate across re-plans; Shared counts concurrent misses deduplicated

@@ -188,13 +188,13 @@ func TestNegativeCacheBounded(t *testing.T) {
 	a := testApp(t, Options{Scale: 0.02})
 	// Overflow the cap: the cache must evict per-entry rather than grow
 	// without bound, and lookups keep working throughout.
-	for i := 0; i < a.opt.NegCacheCap+10; i++ {
+	for i := 0; i < negCacheCap+10; i++ {
 		name := "junk-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + itoa(i)
 		if _, err := a.workflow(name); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
 	}
-	if n := a.neg.Len(); n > a.opt.NegCacheCap {
+	if n := a.neg.Len(); n > negCacheCap {
 		t.Fatalf("negative cache grew past cap: %d", n)
 	}
 }
@@ -218,11 +218,11 @@ func TestNegativeCacheSurvivesJunkFlood(t *testing.T) {
 	// Probe twice so each hot name ages through the probation queue once
 	// and is re-admitted into the protected main queue.
 	warm()
-	for i := 0; i < a.opt.NegCacheCap; i++ {
+	for i := 0; i < negCacheCap; i++ {
 		_, _ = a.workflow("flood-" + itoa(i))
 	}
 	warm()
-	for i := 0; i < 4*a.opt.NegCacheCap; i++ {
+	for i := 0; i < 4*negCacheCap; i++ {
 		_, _ = a.workflow("flood2-" + itoa(i))
 		if i%256 == 0 {
 			warm()

@@ -58,8 +58,7 @@ func doJSON(t *testing.T, method, url string, body interface{}) (int, map[string
 // result -> status path over HTTP, including async invocations, traces
 // and /metrics.
 func TestGatewayLifecycle(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, srv := httpApp(t, Options{Scale: 0.05, Reg: reg})
+	_, srv := httpApp(t, Options{Scale: 0.05})
 
 	// Register (builtin registration is what CI's smoke test uses too).
 	code, body := doJSON(t, "POST", srv.URL+"/workflows",

@@ -20,9 +20,9 @@
 //     re-plan triggers; in-flight requests finish on the plan (and
 //     pool) they started with.
 //
-// All counters, gauges and histograms live in an obs.Registry
-// (obs.Default unless overridden), so /metrics is a plain
-// Registry.WriteProm.
+// All counters, gauges and histograms live in the App's own
+// obs.Registry (Options.Reg, or a fresh one), so /metrics is a plain
+// Registry.WriteProm and two Apps in one process share no series.
 package serve
 
 import (
@@ -75,12 +75,6 @@ type Options struct {
 	// expiry cannot synchronize a cold-boot storm when traffic returns.
 	// Zero means the default 0.1; negative disables jitter entirely.
 	KeepAliveJitter float64
-	// NegCachePolicy is the replacement policy of the negative cache for
-	// unknown-workflow lookups (default 2Q: a junk-name flood churns
-	// through the probation queue while repeatedly-probed names stay
-	// resident). NegCacheCap bounds it (default 1024).
-	NegCachePolicy parallel.Policy
-	NegCacheCap    int
 	// Window, ViolationTrigger, DriftTrigger, BiasAlpha, Cooldown,
 	// MinImprovement and RollbackGuard parameterize the internal/adapt
 	// controller (zero: adapt's defaults). Cooldown and MinImprovement
@@ -111,7 +105,8 @@ type Options struct {
 	// PGP carries extra planner options (Style, Iso); Const and SLO are
 	// always overridden by the serving plane.
 	PGP pgp.Options
-	// Reg receives all serving metrics (default obs.Default).
+	// Reg receives all serving metrics (default: a fresh registry of
+	// this App's own).
 	Reg *obs.Registry
 	// Flight is the always-on flight recorder both ingress planes record
 	// into (default: a fresh flight.New on Reg). Set it explicitly to
@@ -150,14 +145,8 @@ func (o *Options) defaults() {
 	if o.HedgeMaxInflight <= 0 {
 		o.HedgeMaxInflight = 64
 	}
-	if o.NegCachePolicy == "" {
-		o.NegCachePolicy = parallel.Policy2Q
-	}
-	if o.NegCacheCap <= 0 {
-		o.NegCacheCap = 1024
-	}
 	if o.Reg == nil {
-		o.Reg = obs.Default
+		o.Reg = obs.NewRegistry()
 	}
 	if o.Flight == nil {
 		o.Flight = flight.New(flight.Options{Reg: o.Reg})
@@ -271,8 +260,8 @@ type App struct {
 	byHash atomic.Pointer[map[uint64]*workflowState]
 
 	// neg is the negative cache for unknown-workflow lookups: names that
-	// recently missed the registry, held in a small bounded policy cache
-	// (2Q by default) so a junk-name flood evicts per-entry instead of
+	// recently missed the registry, held in a small bounded 2Q cache
+	// (negCacheCap) so a junk-name flood evicts per-entry instead of
 	// periodically dropping every legitimate negative entry at once.
 	// negGen/negMu guard the register/note-miss race: Register bumps the
 	// generation and purges under negMu, and a miss noted against a stale
@@ -307,6 +296,10 @@ type App struct {
 	reaperW sync.WaitGroup
 }
 
+// negCacheCap bounds the negative cache; the serve mix of parallel's
+// TestTwoQBeatsLRUOnScanMixes replays its traffic at this size.
+const negCacheCap = 1024
+
 // New builds an App and starts its keep-alive reaper.
 func New(opt Options) *App {
 	opt.defaults()
@@ -317,7 +310,7 @@ func New(opt Options) *App {
 		results: map[string]*asyncResult{},
 		drained: make(chan struct{}),
 		quit:    make(chan struct{}),
-		neg:     parallel.NewCachePolicy[string, struct{}](opt.NegCachePolicy, opt.NegCacheCap, 4, parallel.StringHash),
+		neg:     parallel.NewCache[string, struct{}](parallel.Policy2Q, negCacheCap, 4, parallel.StringHash),
 	}
 	a.reaperW.Add(1)
 	go a.reaper()

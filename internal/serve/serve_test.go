@@ -41,9 +41,6 @@ func testWorkflow(cpu time.Duration) *dag.Workflow {
 // CheckInvariants pass at quiescence.
 func testApp(t *testing.T, opt Options) *App {
 	t.Helper()
-	if opt.Reg == nil {
-		opt.Reg = obs.NewRegistry()
-	}
 	a := New(opt)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

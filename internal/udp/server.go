@@ -53,7 +53,6 @@ type serverMetrics struct {
 	shed      *obs.Counter
 	errors    *obs.Counter
 	bytes     *obs.IntHistogram
-	latency   *obs.Histogram
 }
 
 // Server is the binary ingress plane: one UDP socket, a preallocated
@@ -117,7 +116,6 @@ func New(app *serve.App, opt Options) (*Server, error) {
 			shed:      opt.Reg.Counter("chiron_udp_shed_total", "invokes shed because the worker backlog was full"),
 			errors:    opt.Reg.Counter("chiron_udp_errors_total", "socket write failures"),
 			bytes:     opt.Reg.IntHistogram("chiron_udp_bytes", "received datagram sizes (bytes)", obs.DefSizeBuckets()),
-			latency:   opt.Reg.Histogram("chiron_udp_latency", "end-to-end UDP invoke latency (nominal seconds: queue wait + cold start + execution)", nil),
 		},
 		free:     make(chan *job, numJobs),
 		work:     make(chan *job, numJobs),
@@ -270,13 +268,6 @@ func (s *Server) handle(j *job) {
 		return
 	}
 	s.m.completed.Inc()
-	total := fast.QueueWait + fast.ColdStart + fast.E2E
-	s.m.latency.Observe(total)
-	if fast.TraceID != 0 {
-		// Link this bucket to the retained flight trace. TraceID stays
-		// server-side: the 40-byte reply ABI is pinned.
-		s.m.latency.SetExemplar(total, fast.TraceID)
-	}
 	s.sendReply(j, j.addr, &Reply{
 		Type: TypeReply, Status: StatusOK, ID: j.h.ID,
 		PlanVersion: uint32(fast.PlanVersion), Cold: fast.Cold,

@@ -40,11 +40,6 @@ func testWorkflow(cpu time.Duration) *dag.Workflow {
 // server on an ephemeral port, sharing one metrics registry.
 func testServer(t *testing.T, opt serve.Options, cpu time.Duration) (*serve.App, *Server, *obs.Registry) {
 	t.Helper()
-	reg := opt.Reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-		opt.Reg = reg
-	}
 	if opt.Scale == 0 {
 		opt.Scale = 0.02
 	}
@@ -60,12 +55,12 @@ func testServer(t *testing.T, opt serve.Options, cpu time.Duration) (*serve.App,
 	if _, err := app.PlanWorkflow("wf-test", 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(app, Options{Reg: reg, Workers: 8})
+	srv, err := New(app, Options{Reg: app.Registry(), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return app, srv, reg
+	return app, srv, app.Registry()
 }
 
 func testDial(t *testing.T, srv *Server) *Client {
@@ -218,11 +213,10 @@ func TestDeadlineTimesOut(t *testing.T) {
 // a UDP invocation and an HTTP-path invocation of the same workflow
 // contend for the same admission slots and reuse the same warm pool.
 func TestSharedAdmissionAndWarmPool(t *testing.T) {
-	reg := obs.NewRegistry()
 	// MaxConcurrency 1: one slot shared by both planes. Scale 1 with
 	// 100ms functions gives a ~300ms execution window to race against.
-	app, srv, _ := testServer(t, serve.Options{
-		Reg: reg, Scale: 1, MaxConcurrency: 1, KeepAlive: time.Minute,
+	app, srv, reg := testServer(t, serve.Options{
+		Scale: 1, MaxConcurrency: 1, KeepAlive: time.Minute,
 	}, 100*time.Millisecond)
 	c := testDial(t, srv)
 
