@@ -51,8 +51,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also cross-builds for darwin and windows: internal/live arms its
+# timekeeper with a timerfd on Linux and a Go timer elsewhere, and only
+# a foreign GOOS compiles the second file.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) build ./... && GOOS=windows $(GO) build ./...
 
 # staticcheck catches the reinvented-stdlib class of bug (e.g. the
 # hand-rolled insertion sort that sort.Strings replaced) plus dead code

@@ -14,7 +14,6 @@ import (
 
 	"chiron/internal/obs"
 	"chiron/internal/udp"
-	"chiron/internal/workloads"
 )
 
 // TestDaemonSmoke drives a booted chirond the way an operator would,
@@ -70,11 +69,10 @@ func TestDaemonSmoke(t *testing.T) {
 	})
 
 	t.Run("hedge", func(t *testing.T) {
-		// TailHeavy with its 200 ms stall stretched to 1 s. At Scale 0.01
-		// a wrap shorter than a timer tick (1.1 ms on a 2-vCPU VM) still
-		// takes a tick, so a hedge armed at 1.5x TailHeavy's ~1.1 ms run
-		// cannot finish inside its 2 ms stall: it won 0 of ~35 hedges a
-		// run. The 10 ms stall leaves room for a cold boot too.
+		// The builtin TailHeavy: at Scale 0.01 its 200 ms stall lasts
+		// 2 ms of wall time, and a hedge armed at 1.5x the plan's
+		// latency finishes inside it, because each of the run's waits
+		// takes its own length rather than a whole timer tick.
 		//
 		// The stall hits 4% of requests, and a hedge on a stalled primary
 		// wins unless it stalls as well. With n serial requests:
@@ -84,15 +82,8 @@ func TestDaemonSmoke(t *testing.T) {
 		//   - hedges == wins + wasted is exact, not probabilistic, and a
 		//     duplicate completion from a lost hedge race would push
 		//     requests_total past n.
-		const n, wf = 400, "TailHeavy1s"
-		w := workloads.TailHeavy()
-		w.Name = wf
-		w.Stages[1].Functions[0].Segments[1].TailDur = time.Second
-		body, err := json.Marshal(map[string]any{"workflow": w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		deploy(t, base, wf, string(body), "500ms")
+		const n, wf = 400, "TailHeavy"
+		deploy(t, base, wf, `{"builtin":"`+wf+`"}`, "500ms")
 		before := scrape(t, base)
 		invokeN(t, base, wf, n)
 		after := scrape(t, base)

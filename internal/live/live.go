@@ -152,8 +152,8 @@ type runner struct {
 	done    <-chan struct{}
 	scale   float64
 	timeout time.Duration // wall offset from t0 past which waits abort; 0 = none
-	t0      time.Time
-	verbose bool // recorder wants per-quantum GIL instants
+	t0      time.Duration // when the request began, on the timekeeper's clock
+	verbose bool          // recorder wants per-quantum GIL instants
 	expired atomic.Bool
 
 	mu     sync.Mutex
@@ -169,23 +169,6 @@ var runnerPool = sync.Pool{New: func() any { return new(runner) }}
 type thread struct {
 	// at is the cursor: nominal time since the request began.
 	at time.Duration
-	// timer is the goroutine's one reusable timer, taken on first use.
-	timer *time.Timer
-}
-
-// timerPool holds stopped, drained timers.
-var timerPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-// retire returns the thread's timer once its goroutine is done waiting.
-func (th *thread) retire() {
-	if th.timer != nil {
-		timerPool.Put(th.timer)
-		th.timer = nil
-	}
 }
 
 // join collects the cursors of the threads a parent started: the parent
@@ -208,7 +191,6 @@ func newJoin(children int) *join {
 
 // done ends a child thread at its cursor.
 func (j *join) done(th *thread) {
-	th.retire()
 	j.mu.Lock()
 	j.end = max(j.end, th.at)
 	j.mu.Unlock()
@@ -231,14 +213,13 @@ func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, err
 	if opt.Rec != nil {
 		r.tids = append(r.tids, make([]int, p.nSandboxes)...)
 	}
-	r.t0 = time.Now()
+	r.t0 = now()
 
 	var th thread
 	var err error
 	for si := 0; si < len(p.stages) && err == nil; si++ {
 		err = r.runStage(&th, si)
 	}
-	th.retire()
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +299,7 @@ func (r *runner) span(pid, tid int, name, cat string, from, to time.Duration, ar
 
 // nominalNow is the wall time since the request began, in nominal time.
 func (r *runner) nominalNow() time.Duration {
-	return time.Duration(float64(time.Since(r.t0)) / r.scale)
+	return time.Duration(float64(now()-r.t0) / r.scale)
 }
 
 // sleep moves th d nominal time down the schedule and waits for the
@@ -333,8 +314,10 @@ func (r *runner) sleep(th *thread, d time.Duration) {
 // wait blocks until the wall instant of th's cursor, or returns at once
 // when that instant has passed: a late wake-up leaves the thread behind
 // its schedule, and the waits that follow are shortened or skipped until
-// it has caught up. It never spins — the callers share the CPUs — so
-// what survives of a serial chain's timer error is the last wait's.
+// it has caught up. It never returns before the instant, and it never
+// spins — the callers share the CPUs. The process's timekeeper wakes it
+// (timekeeper.go): on Linux a timerfd, about 10 µs late on an idle
+// 2-vCPU VM, where a Go timer came back up to a millisecond tick late.
 // Cancellation and the schedule's timeout cut a wait short.
 func (r *runner) wait(th *thread) {
 	wall := time.Duration(float64(th.at) * r.scale)
@@ -342,23 +325,13 @@ func (r *runner) wait(th *thread) {
 	if late {
 		wall = r.timeout
 	}
-	if d := wall - time.Since(r.t0); d > 0 {
+	if at := r.t0 + wall; at > now() {
 		select {
 		case <-r.done:
 			return
 		default:
 		}
-		if th.timer == nil {
-			th.timer = timerPool.Get().(*time.Timer)
-		}
-		th.timer.Reset(d)
-		select {
-		case <-th.timer.C:
-		case <-r.done:
-			// The stopped timer may still deliver a tick; drop it
-			// instead of recycling one that could fire a later wait.
-			th.timer.Stop()
-			th.timer = nil
+		if !tk.sleep(at, r.done) {
 			return
 		}
 	}
