@@ -15,56 +15,9 @@ type CacheStats struct {
 	Shared uint64
 }
 
-// Policy selects a shard's replacement policy. The shell (sharding, hash,
-// counters, singleflight) is identical across policies; only what each
-// shard evicts differs. Each cache's policy is a constant at its
-// construction site, chosen from the traffic mixes in
-// policy_mix_test.go, not taste: TestTwoQBeatsLRUOnScanMixes is why
-// serve's negative cache is 2Q.
-type Policy string
-
-const (
-	// PolicyLRU evicts the least-recently-used entry — the right choice
-	// when the working set fits and recency predicts reuse.
-	PolicyLRU Policy = "lru"
-	// Policy2Q is the 2Q algorithm: new keys enter a small FIFO probation
-	// queue (A1in) and are promoted to the main LRU (Am) only when
-	// re-referenced after falling into the ghost queue (A1out). One-shot
-	// scan keys churn through A1in without ever displacing the hot
-	// working set in Am.
-	Policy2Q Policy = "2q"
-)
-
-// cachePolicy is one shard's replacement policy. Implementations are not
-// thread-safe: the owning shard's mutex serializes every call. A get hit
-// must not allocate (the shell promises a zero-alloc hit path); put may.
-type cachePolicy[K comparable, V any] interface {
-	// get returns the value and promotes the entry per the policy.
-	get(key K) (V, bool)
-	// put inserts or refreshes an entry, reporting how many live entries
-	// (entries whose values were still cached) it evicted to make room.
-	put(key K, v V) (evicted int)
-	// len is the number of live entries (ghost/bookkeeping entries that
-	// hold no value do not count).
-	len() int
-	// purge drops every entry, live and ghost, keeping capacity.
-	purge()
-}
-
-func newPolicy[K comparable, V any](p Policy, capacity int) cachePolicy[K, V] {
-	switch p {
-	case Policy2Q:
-		return newTwoQPolicy[K, V](capacity)
-	default:
-		return newLRUPolicy[K, V](capacity)
-	}
-}
-
-// Cache is a sharded, bounded, thread-safe cache with a pluggable
-// per-shard replacement policy (in the spirit of samber/hot's
-// sharded/2q layout). Shards cut lock contention under parallel
-// planners; each shard holds capacity/shards entries and evicts per its
-// policy on overflow.
+// Cache is a sharded, bounded, thread-safe LRU cache. Shards cut lock
+// contention under parallel planners; each shard holds capacity/shards
+// entries and evicts its least-recently-used entry on overflow.
 //
 // The key type is any comparable; the caller supplies the shard-selection
 // hash at construction so hot paths can use fixed-size struct keys (e.g.
@@ -88,10 +41,10 @@ type Cache[K comparable, V any] struct {
 
 // NewCache returns a cache holding at most capacity entries across the
 // given number of shards (both floored at 1; shards are capped at
-// capacity so every shard can hold at least one entry), each shard
-// evicting per policy. hash selects the shard for a key and only needs
-// to spread well, not be cryptographic.
-func NewCache[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64) *Cache[K, V] {
+// capacity so every shard can hold at least one entry). hash selects
+// the shard for a key and only needs to spread well, not be
+// cryptographic.
+func NewCache[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -110,7 +63,7 @@ func NewCache[K comparable, V any](policy Policy, capacity, shards int, hash fun
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i].pol = newPolicy[K, V](policy, per)
+		c.shards[i].pol = newLRUPolicy[K, V](per)
 	}
 	return c
 }
@@ -131,7 +84,7 @@ func (c *Cache[K, V]) shard(key K) *cacheShard[K, V] {
 }
 
 // Get returns the cached value and whether it was present, promoting the
-// entry per the shard's policy. A hit performs zero heap allocations.
+// entry to most recently used. A hit performs zero heap allocations.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -145,8 +98,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return v, ok
 }
 
-// Put inserts or refreshes an entry, evicting per the shard's policy when
-// the shard is full.
+// Put inserts or refreshes an entry, evicting the shard's least recently
+// used entry when the shard is full.
 func (c *Cache[K, V]) Put(key K, v V) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -191,11 +144,11 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	}
 }
 
-// cacheShard is one lock domain: a policy instance plus the shard's
+// cacheShard is one lock domain: an LRU plus the shard's
 // in-flight singleflight calls (lazily allocated; nil until the first
 // GetOrCompute miss).
 type cacheShard[K comparable, V any] struct {
 	mu  sync.Mutex
-	pol cachePolicy[K, V]
+	pol *lruPolicy[K, V]
 	fl  map[K]*flightCall[V]
 }

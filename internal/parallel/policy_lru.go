@@ -3,6 +3,7 @@ package parallel
 // lruPolicy is the classic least-recently-used policy: a map into an
 // intrusive doubly-linked list ordered most- to least-recently used.
 // Hits relink in place (no allocation); overflow evicts the list tail.
+// It is not thread-safe: the owning shard's mutex serializes every call.
 type lruPolicy[K comparable, V any] struct {
 	cap int
 	m   map[K]*lruEntry[K, V]

@@ -79,14 +79,10 @@ func execKeyHash(k execKey) uint64 {
 // asks. Entries are pure functions of their key, so cache state can change
 // wall-clock time but never results.
 //
-// LRU, 1<<15 entries, 16 shards. PGP's candidate fan-out re-prices the
-// same groups within a tight window, so the working set fits and
-// recency predicts reuse. LRU's hit is not the cheapest, though: on
-// BenchmarkCacheHitHeavy (internal/parallel) every key stays in 2Q's
-// probation FIFO, whose hits do not relink, while every LRU hit relinks
-// its ring node, and 2Q reads fewer ms/op (DESIGN §12). The policy stays
-// LRU until a workload measures this cache's own traffic.
-var execCache = parallel.NewCache[execKey, time.Duration](parallel.PolicyLRU, 1<<15, 16, execKeyHash)
+// 1<<15 entries, 16 shards. PGP's candidate fan-out re-prices the same
+// groups within a tight window, so the working set fits and recency
+// predicts reuse.
+var execCache = parallel.NewCache[execKey, time.Duration](1<<15, 16, execKeyHash)
 
 // ExecCacheStats exposes the shared cache's counters (benchmarks track the
 // hit rate across re-plans; Shared counts concurrent misses deduplicated

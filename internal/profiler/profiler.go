@@ -169,11 +169,9 @@ func profKeyOf(spec *behavior.Spec, opt Options) profKey {
 // caller receives a private clone on the way out, so callers may mutate
 // what they receive.
 //
-// LRU, 4096 entries, 8 shards: the profile working set is small and
-// strongly re-referenced (every figure shares the FINRA workflows), so
-// 2Q's probation queue buys nothing here; it wins only under scan floods
-// (TestTwoQBeatsLRUOnScanMixes in internal/parallel).
-var profileCache = parallel.NewCache[profKey, *Profile](parallel.PolicyLRU, 4096, 8,
+// 4096 entries, 8 shards: the profile working set is small and strongly
+// re-referenced (every figure shares the FINRA workflows).
+var profileCache = parallel.NewCache[profKey, *Profile](4096, 8,
 	func(k profKey) uint64 { return k.h1 })
 
 // CacheStats exposes the memo's counters (Shared counts concurrent misses

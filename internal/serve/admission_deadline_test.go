@@ -127,7 +127,7 @@ func TestPoolColdCancelAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPlan(t, a, "wf-test", 400*time.Millisecond)
-	pool := a.wfs["wf-test"].active.Load().pool
+	pool := a.index.Load().byName["wf-test"].active.Load().pool
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -178,7 +178,7 @@ func TestPoolHedgeBootKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPlan(t, a, "wf-test", 400*time.Millisecond)
-	pool := a.wfs["wf-test"].active.Load().pool
+	pool := a.index.Load().byName["wf-test"].active.Load().pool
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

@@ -20,8 +20,9 @@ import (
 
 // HashName is the wire identity of a workflow: FNV-64a over its name.
 // The UDP protocol carries this hash instead of the name so the invoke
-// header stays fixed-layout, and AdmitHash resolves it through a
-// copy-on-write index without locks or allocation.
+// header stays fixed-layout, and AdmitHash resolves it through the
+// App's copy-on-write registry snapshot without locks or allocation.
+// Register refuses a name whose hash is already taken (ErrHashCollision).
 func HashName(name string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -88,10 +89,7 @@ func (a *App) AdmitHash(ctx context.Context, h uint64) (Admitted, error) {
 // ErrDraining, context.DeadlineExceeded (deadline already expired), or
 // an *OverloadError from admission.
 func (a *App) AdmitHashID(ctx context.Context, h, id uint64) (Admitted, error) {
-	var wf *workflowState
-	if m := a.byHash.Load(); m != nil {
-		wf = (*m)[h]
-	}
+	wf := a.index.Load().byHash[h]
 	if wf == nil {
 		return Admitted{}, errUnknownWorkflow
 	}
@@ -175,7 +173,7 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 		winner int
 	)
 	execStart := time.Now()
-	prog, err := ps.program(beh)
+	prog, err := ps.program(wf, beh)
 	if err != nil {
 		ps.pool.release(time.Now())
 	} else if delay := a.hedgeDelay(wf); delay > 0 {

@@ -3,6 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +62,7 @@ func TestAdmitHashLifecycle(t *testing.T) {
 
 	// Release without Execute must return the slot: the full
 	// concurrency budget stays admittable afterwards.
-	for i := 0; i < 2*a.wfs["wf-test"].adm.capacity; i++ {
+	for i := 0; i < 2*a.index.Load().byName["wf-test"].adm.capacity; i++ {
 		ad, err := a.AdmitHash(context.Background(), HashName("wf-test"))
 		if err != nil {
 			t.Fatalf("admit %d after releases: %v", i, err)
@@ -160,20 +165,21 @@ func TestServedRequestAllocs(t *testing.T) {
 	}
 }
 
-func TestNegativeCacheUnknownWorkflows(t *testing.T) {
+// TestRegisterClearsEarlierMiss: a miss stores nothing, so registering
+// a name that missed before makes it resolvable at once on both planes,
+// and every miss's error names the workflow it missed.
+func TestRegisterClearsEarlierMiss(t *testing.T) {
 	a := testApp(t, Options{Scale: 0.02})
-	// First miss takes the registry lock and seeds the cache; repeats
-	// are answered by the cache.
 	for i := 0; i < 3; i++ {
-		if _, err := a.Invoke(context.Background(), "ghost", nil); !errors.Is(err, ErrNotFound) {
+		_, err := a.Invoke(context.Background(), "ghost", nil)
+		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
-	}
-	if hits := a.m.negHits.Value(); hits != 2 {
-		t.Fatalf("negative-cache hits = %d, want 2", hits)
+		if !strings.Contains(err.Error(), `"ghost"`) {
+			t.Fatalf("miss %d does not name the workflow: %v", i, err)
+		}
 	}
 
-	// Registering the name must unpoison it immediately.
 	w := testWorkflow(2 * time.Millisecond)
 	w.Name = "ghost"
 	if _, err := a.Register(w); err != nil {
@@ -182,72 +188,150 @@ func TestNegativeCacheUnknownWorkflows(t *testing.T) {
 	if _, err := a.Invoke(context.Background(), "ghost", nil); !errors.Is(err, ErrNoPlan) {
 		t.Fatalf("after register: %v (want ErrNoPlan, not ErrNotFound)", err)
 	}
+	if _, err := a.AdmitHash(context.Background(), HashName("ghost")); !errors.Is(err, ErrNoPlan) {
+		t.Fatalf("AdmitHash after register: %v (want ErrNoPlan, not ErrNotFound)", err)
+	}
 }
 
-func TestNegativeCacheBounded(t *testing.T) {
+// TestRegistryVisibleUnderConcurrency: readers on both planes race 200
+// registrations. A name whose Register has returned never misses
+// afterwards, by name or by hash, and a workflow a reader can find
+// always carries its behaviour, even mid-registration.
+func TestRegistryVisibleUnderConcurrency(t *testing.T) {
+	const n = 200
 	a := testApp(t, Options{Scale: 0.02})
-	// Overflow the cap: the cache must evict per-entry rather than grow
-	// without bound, and lookups keep working throughout.
-	for i := 0; i < negCacheCap+10; i++ {
-		name := "junk-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + itoa(i)
-		if _, err := a.workflow(name); !errors.Is(err, ErrNotFound) {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "wf-" + strconv.Itoa(i)
+	}
+	var registered atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				done := int(registered.Load())
+				if done < n {
+					// Probe the name being registered now.
+					if wf, err := a.workflow(names[done]); err == nil && wf.snapshot() == nil {
+						t.Errorf("%s resolved with no behaviour", names[done])
+						return
+					}
+				}
+				if done == 0 {
+					continue
+				}
+				name := names[i%done]
+				if _, err := a.workflow(name); err != nil {
+					t.Errorf("registered %s missed by name: %v", name, err)
+					return
+				}
+				if _, err := a.AdmitHash(ctx, HashName(name)); !errors.Is(err, ErrNoPlan) {
+					t.Errorf("registered %s by hash: %v, want ErrNoPlan", name, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i, name := range names {
+		w := testWorkflow(2 * time.Millisecond)
+		w.Name = name
+		if created, err := a.Register(w); err != nil || !created {
+			t.Fatalf("register %s: created %v, %v", name, created, err)
+		}
+		registered.Store(int64(i + 1))
+	}
+	if got := a.Workflows(); len(got) != n {
+		t.Fatalf("Workflows lists %d names, want %d", len(got), n)
+	}
+}
+
+// TestMissStoresNothing: unknown names and hashes leave the registry
+// snapshot as it was, however many arrive.
+func TestMissStoresNothing(t *testing.T) {
+	a := testApp(t, Options{Scale: 0.02})
+	if _, err := a.Register(testWorkflow(2 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	before := a.index.Load()
+	ctx := context.Background()
+	for i := 0; i < 10000; i++ {
+		junk := "junk-" + strconv.Itoa(i)
+		if _, err := a.workflow(junk); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
+		if _, err := a.AdmitHash(ctx, HashName(junk)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("hash lookup %d: %v", i, err)
+		}
 	}
-	if n := a.neg.Len(); n > negCacheCap {
-		t.Fatalf("negative cache grew past cap: %d", n)
+	if a.index.Load() != before {
+		t.Fatal("junk lookups replaced the registry snapshot")
 	}
 }
 
-func TestNegativeCacheSurvivesJunkFlood(t *testing.T) {
+// TestWorkflowLookupZeroAlloc: resolving a registered name, the first
+// step of every HTTP request, allocates nothing.
+func TestWorkflowLookupZeroAlloc(t *testing.T) {
 	a := testApp(t, Options{Scale: 0.02})
-	// A handful of legitimate-but-unregistered names are probed
-	// repeatedly (clients retrying a typo'd workflow), interleaved with a
-	// flood of one-shot junk names several times the cache capacity.
-	// Under the old drop-the-whole-map scheme every flood wiped the hot
-	// names; under the 2Q policy they are promoted out of the probation
-	// queue and keep answering from the cache.
-	hot := []string{"typo-a", "typo-b", "typo-c", "typo-d"}
-	warm := func() {
-		for _, n := range hot {
-			if _, err := a.workflow(n); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("hot lookup %q: %v", n, err)
-			}
+	if _, err := a.Register(testWorkflow(2 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := a.workflow("wf-test"); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Probe twice so each hot name ages through the probation queue once
-	// and is re-admitted into the protected main queue.
-	warm()
-	for i := 0; i < negCacheCap; i++ {
-		_, _ = a.workflow("flood-" + itoa(i))
-	}
-	warm()
-	for i := 0; i < 4*negCacheCap; i++ {
-		_, _ = a.workflow("flood2-" + itoa(i))
-		if i%256 == 0 {
-			warm()
-		}
-	}
-
-	before := a.m.negHits.Value()
-	warm()
-	if got := a.m.negHits.Value() - before; got != uint64(len(hot)) {
-		t.Fatalf("hot negative entries evicted by junk flood: %d/%d served from cache", got, len(hot))
+	}); avg > 0 {
+		t.Fatalf("known-name lookup allocates %.1f per run, want 0", avg)
 	}
 }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
+// TestHashCollisionRefused: a new name whose hash belongs to another
+// registered name is refused, by withWorkflow, by Register and
+// as a 409 over HTTP, and the registered workflow keeps its hash.
+func TestHashCollisionRefused(t *testing.T) {
+	first := &workflowState{name: "first"}
+	one, err := withWorkflow(&workflowIndex{}, first, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var b [20]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
+	if _, err := withWorkflow(one, &workflowState{name: "second"}, 7); !errors.Is(err, ErrHashCollision) {
+		t.Fatalf("second name on hash 7: %v, want ErrHashCollision", err)
 	}
-	return string(b[n:])
+	if one.byHash[7] != first || len(one.byName) != 1 {
+		t.Fatal("a refused build changed the snapshot it started from")
+	}
+
+	// Plant a workflow on wf-test's hash under another name, as a real
+	// FNV-64a collision would.
+	a, srv := httpApp(t, Options{Scale: 0.02})
+	impostor := &workflowState{app: a, name: "impostor", adm: newAdmission(a, 1, 1, 1)}
+	next, err := withWorkflow(a.index.Load(), impostor, HashName("wf-test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.index.Store(next)
+	if _, err := a.Register(testWorkflow(2 * time.Millisecond)); !errors.Is(err, ErrHashCollision) {
+		t.Fatalf("Register on a taken hash: %v, want ErrHashCollision", err)
+	}
+	if code, body := doJSON(t, "POST", srv.URL+"/workflows", map[string]interface{}{"workflow": testWorkflow(2 * time.Millisecond)}); code != http.StatusConflict {
+		t.Fatalf("POST /workflows on a taken hash: %d %v, want 409", code, body)
+	}
+	if _, err := a.workflow("wf-test"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused name resolves: %v", err)
+	}
+	if a.index.Load().byHash[HashName("wf-test")] != impostor {
+		t.Fatal("the refused registration moved the hash")
+	}
 }
 
 func TestKeepAliveJitterSpreadsExpiry(t *testing.T) {
@@ -256,7 +340,7 @@ func TestKeepAliveJitterSpreadsExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPlan(t, a, "wf-test", 400*time.Millisecond)
-	ps := a.wfs["wf-test"].active.Load()
+	ps := a.index.Load().byName["wf-test"].active.Load()
 	now := time.Now()
 	min, max := now.Add(time.Minute), now.Add(time.Minute)
 	for i := 0; i < 64; i++ {
@@ -282,7 +366,7 @@ func TestKeepAliveJitterSpreadsExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPlan(t, b, "wf-test", 400*time.Millisecond)
-	pb := b.wfs["wf-test"].active.Load()
+	pb := b.index.Load().byName["wf-test"].active.Load()
 	if e := pb.pool.expiry(now); !e.Equal(now.Add(time.Minute)) {
 		t.Fatalf("jitter-disabled expiry %v, want exactly %v", e.Sub(now), time.Minute)
 	}

@@ -89,7 +89,7 @@ func TestHedgeLifecycleNoLeak(t *testing.T) {
 	if got := a.m.requests.Value(); got != n {
 		t.Fatalf("requests_total = %d, want %d (exactly-once)", got, n)
 	}
-	pool := a.wfs["wf-test"].active.Load().pool
+	pool := a.index.Load().byName["wf-test"].active.Load().pool
 	pool.mu.Lock()
 	leased := pool.leased
 	pool.mu.Unlock()
@@ -310,7 +310,7 @@ func TestHedgedInvokeStampede(t *testing.T) {
 	if w, l, h := a.m.hedgeWins.Value(), a.m.hedgeWasted.Value(), a.m.hedges.Value(); w+l != h {
 		t.Fatalf("hedge_wins %d + hedge_wasted %d != hedges %d", w, l, h)
 	}
-	pool := a.wfs["wf-test"].active.Load().pool
+	pool := a.index.Load().byName["wf-test"].active.Load().pool
 	pool.mu.Lock()
 	leased := pool.leased
 	pool.mu.Unlock()
@@ -394,7 +394,7 @@ func TestCheckInvariantsReportsViolations(t *testing.T) {
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatalf("fresh app: %v", err)
 	}
-	pool := a.wfs["wf-test"].active.Load().pool
+	pool := a.index.Load().byName["wf-test"].active.Load().pool
 	if _, err := pool.acquire(context.Background(), false); err != nil {
 		t.Fatal(err)
 	}

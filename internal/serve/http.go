@@ -60,8 +60,9 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 }
 
 // writeErr maps serving errors onto status codes: 404 unknown, 409 no
-// plan / stale plan, 429 + Retry-After on admission rejection, 503 while
-// draining, 504 on request deadline, 400 on malformed input, 500 rest.
+// plan / stale plan / name-hash collision, 429 + Retry-After on
+// admission rejection, 503 while draining, 504 on request deadline, 400
+// on malformed input, 500 rest.
 func writeErr(w http.ResponseWriter, err error) {
 	var ov *OverloadError
 	switch {
@@ -73,7 +74,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		})
 	case errors.Is(err, ErrNotFound):
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-	case errors.Is(err, ErrNoPlan), errors.Is(err, ErrStalePlan), errors.Is(err, ErrNoHistory):
+	case errors.Is(err, ErrNoPlan), errors.Is(err, ErrStalePlan), errors.Is(err, ErrNoHistory), errors.Is(err, ErrHashCollision):
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDraining):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
@@ -155,7 +156,7 @@ func (a *App) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		if errors.Is(err, ErrNotFound) {
+		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrHashCollision) {
 			writeErr(w, err)
 		} else {
 			writeErr(w, fmt.Errorf("%w: %v", errBadRequest, err))

@@ -15,14 +15,8 @@ import (
 // flight reports their transient state as violations.
 func (a *App) CheckInvariants() error {
 	var errs []error
-	a.mu.RLock()
-	wfs := make([]*workflowState, 0, len(a.wfs))
-	for _, wf := range a.wfs {
-		wfs = append(wfs, wf)
-	}
-	a.mu.RUnlock()
 	var warmSum, residentSum int64
-	for _, wf := range wfs {
+	for _, wf := range a.index.Load().byName {
 		wf.mu.Lock()
 		epochs := append([]*planState{wf.active.Load()}, wf.history...)
 		wf.mu.Unlock()

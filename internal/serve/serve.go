@@ -29,8 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +42,6 @@ import (
 	"chiron/internal/model"
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
-	"chiron/internal/parallel"
 	"chiron/internal/pgp"
 	"chiron/internal/workloads"
 	"chiron/internal/wrap"
@@ -167,6 +167,10 @@ var (
 	// ErrNoHistory: a rollback was requested but the workflow has no
 	// retired plan epoch to fall back to.
 	ErrNoHistory = errors.New("serve: no prior plan epoch to roll back to")
+	// ErrHashCollision: a new workflow's HashName equals a registered
+	// workflow's. The UDP plane names workflows by hash alone, so the
+	// second name is refused rather than shadowing the first.
+	ErrHashCollision = errors.New("serve: workflow name hash collides with a registered workflow")
 )
 
 // OverloadError is returned when admission rejects a request; RetryAfter
@@ -197,7 +201,6 @@ type appMetrics struct {
 	suppressed *obs.Counter
 	rollbacks  *obs.Counter
 	bias       *obs.Gauge
-	negHits    *obs.Counter
 
 	coldCancelled   *obs.Counter
 	deadlineExpired *obs.Counter
@@ -227,8 +230,6 @@ func newAppMetrics(reg *obs.Registry) appMetrics {
 			"plan epochs restored by rollback (operator endpoint or post-swap regression)"),
 		bias: reg.Gauge("chiron_adapt_bias",
 			"calibrated observed/predicted latency ratio x1000 (most recently updated controller)"),
-		negHits: reg.Counter("chiron_serve_negcache_hits_total",
-			"unknown-workflow lookups answered by the negative cache (no registry lock taken)"),
 		coldCancelled: reg.Counter("chiron_serve_cold_cancelled_total",
 			"cold boots cancelled mid-boot (counted in coldstarts_total but never served)"),
 		deadlineExpired: reg.Counter("chiron_serve_deadline_expired_total",
@@ -250,27 +251,11 @@ type App struct {
 	opt Options
 	m   appMetrics
 
-	mu  sync.RWMutex
-	wfs map[string]*workflowState
-
-	// byHash is a copy-on-write index from HashName(workflow) to its
-	// state, rebuilt on Register under mu. The binary UDP ingress reads
-	// it lock-free on every packet (workflows are named by hash on the
-	// wire), so a packet flood never touches the registry lock.
-	byHash atomic.Pointer[map[uint64]*workflowState]
-
-	// neg is the negative cache for unknown-workflow lookups: names that
-	// recently missed the registry, held in a small bounded 2Q cache
-	// (negCacheCap) so a junk-name flood evicts per-entry instead of
-	// periodically dropping every legitimate negative entry at once.
-	// negGen/negMu guard the register/note-miss race: Register bumps the
-	// generation and purges under negMu, and a miss noted against a stale
-	// generation is discarded — a name can never be poisoned after its
-	// registration lands. Lookups that hit the cache touch only the
-	// shard lock and return the static canned error (zero allocations).
-	neg    *parallel.Cache[string, struct{}]
-	negGen atomic.Uint64
-	negMu  sync.Mutex
+	// index is the current registry snapshot. Both ingress planes, the
+	// reaper and CheckInvariants read it with no lock; Register publishes
+	// a new one under indexMu, which only writers take.
+	index   atomic.Pointer[workflowIndex]
+	indexMu sync.Mutex
 
 	resMu    sync.Mutex
 	results  map[string]*asyncResult
@@ -296,22 +281,17 @@ type App struct {
 	reaperW sync.WaitGroup
 }
 
-// negCacheCap bounds the negative cache; the serve mix of parallel's
-// TestTwoQBeatsLRUOnScanMixes replays its traffic at this size.
-const negCacheCap = 1024
-
 // New builds an App and starts its keep-alive reaper.
 func New(opt Options) *App {
 	opt.defaults()
 	a := &App{
 		opt:     opt,
 		m:       newAppMetrics(opt.Reg),
-		wfs:     map[string]*workflowState{},
 		results: map[string]*asyncResult{},
 		drained: make(chan struct{}),
 		quit:    make(chan struct{}),
-		neg:     parallel.NewCache[string, struct{}](parallel.Policy2Q, negCacheCap, 4, parallel.StringHash),
 	}
+	a.index.Store(&workflowIndex{})
 	a.reaperW.Add(1)
 	go a.reaper()
 	return a
@@ -334,13 +314,7 @@ func (a *App) reaper() {
 		case <-a.quit:
 			return
 		case now := <-t.C:
-			a.mu.RLock()
-			states := make([]*workflowState, 0, len(a.wfs))
-			for _, wf := range a.wfs {
-				states = append(states, wf)
-			}
-			a.mu.RUnlock()
-			for _, wf := range states {
+			for _, wf := range a.index.Load().byName {
 				if ps := wf.active.Load(); ps != nil {
 					ps.pool.reap(now)
 				}
@@ -426,11 +400,10 @@ type workflowState struct {
 	app  *App
 	name string
 
-	// behMu guards cur, the latest registered behaviour. It is distinct
-	// from mu so the adapt Source can snapshot behaviour while a plan
-	// (which holds mu) is in flight.
-	behMu sync.Mutex
-	cur   *dag.Workflow
+	// cur is the latest registered behaviour. It is not under mu, so the
+	// adapt Source can snapshot behaviour while a plan (which holds mu)
+	// is in flight.
+	cur atomic.Pointer[dag.Workflow]
 
 	// mu serializes planning, rollback and the controller's
 	// Observe/replan cycle. history holds the last K retired plan epochs
@@ -480,13 +453,16 @@ type compiledPlan struct {
 	err  error
 }
 
-// program returns the epoch's plan compiled against beh. Requests
-// execute the *registered* behaviour, which may be newer than the one
-// the plan was built for, so the cache is keyed by the snapshot: a
-// re-registration compiles — and so re-validates the placement — once,
-// and a behaviour the plan no longer fits keeps failing with the
-// placement error the gateway reports as ErrStalePlan.
-func (ps *planState) program(beh *dag.Workflow) (*live.Program, error) {
+// program returns the epoch's plan compiled against beh, a snapshot of
+// wf's behaviour. Requests execute the *registered* behaviour, which may
+// be newer than the one the plan was built for, so the cache is keyed by
+// the snapshot: a re-registration compiles — and so re-validates the
+// placement — once, and a behaviour the plan no longer fits keeps
+// failing with the placement error the gateway reports as ErrStalePlan.
+// A request still holding a superseded snapshot compiles it for itself
+// but does not cache it, so it cannot displace the current behaviour's
+// Program.
+func (ps *planState) program(wf *workflowState, beh *dag.Workflow) (*live.Program, error) {
 	if c := ps.compiled.Load(); c != nil && c.beh == beh {
 		return c.prog, c.err
 	}
@@ -496,16 +472,41 @@ func (ps *planState) program(beh *dag.Workflow) (*live.Program, error) {
 		return c.prog, c.err
 	}
 	prog, err := live.Compile(beh, ps.plan)
-	ps.compiled.Store(&compiledPlan{beh: beh, prog: prog, err: err})
+	if beh == wf.cur.Load() {
+		ps.compiled.Store(&compiledPlan{beh: beh, prog: prog, err: err})
+	}
 	return prog, err
 }
 
 // snapshot returns the current behaviour (shared, read-only by contract:
 // the executors never mutate specs).
-func (wf *workflowState) snapshot() *dag.Workflow {
-	wf.behMu.Lock()
-	defer wf.behMu.Unlock()
-	return wf.cur
+func (wf *workflowState) snapshot() *dag.Workflow { return wf.cur.Load() }
+
+// workflowIndex is one immutable registry snapshot: every registered
+// workflow by name (HTTP, the control plane) and by HashName (the UDP
+// plane). It is never written after it is published.
+type workflowIndex struct {
+	byName map[string]*workflowState
+	byHash map[uint64]*workflowState
+}
+
+// withWorkflow returns a copy of old that also holds wf under its name
+// and hash h. It refuses an h that already belongs to a registered
+// workflow: the UDP plane addresses a workflow by hash alone, so two
+// names sharing one would shadow each other.
+func withWorkflow(old *workflowIndex, wf *workflowState, h uint64) (*workflowIndex, error) {
+	if other, ok := old.byHash[h]; ok {
+		return nil, fmt.Errorf("serve: workflow %q: hash %#x belongs to %q: %w", wf.name, h, other.name, ErrHashCollision)
+	}
+	next := &workflowIndex{
+		byName: make(map[string]*workflowState, len(old.byName)+1),
+		byHash: make(map[uint64]*workflowState, len(old.byHash)+1),
+	}
+	maps.Copy(next.byName, old.byName)
+	maps.Copy(next.byHash, old.byHash)
+	next.byName[wf.name] = wf
+	next.byHash[h] = wf
+	return next, nil
 }
 
 // Register adds or updates a workflow's behaviour. Updating behaviour
@@ -516,45 +517,26 @@ func (a *App) Register(w *dag.Workflow) (created bool, err error) {
 	if err := w.Validate(); err != nil {
 		return false, err
 	}
-	a.mu.Lock()
-	wf, ok := a.wfs[w.Name]
-	if !ok {
-		wf = &workflowState{
-			app:   a,
-			name:  w.Name,
-			obsCh: make(chan time.Duration, 256),
-			adm:   newAdmission(a, a.opt.MaxConcurrency, a.opt.MaxQueue, a.opt.Scale),
-		}
-		a.wfs[w.Name] = wf
-		a.rebuildHashIndexLocked()
+	a.indexMu.Lock()
+	defer a.indexMu.Unlock()
+	old := a.index.Load()
+	if wf, ok := old.byName[w.Name]; ok {
+		wf.cur.Store(w)
+		return false, nil
 	}
-	a.mu.Unlock()
-	if !ok {
-		// Invalidate the negative cache after the registry insert. The
-		// generation bump and purge are serialized (negMu) against miss
-		// notes: a lookup that missed the registry before this insert
-		// either notes its miss first (and the purge clears it) or sees
-		// the bumped generation and discards the note — the registered
-		// name can never be re-poisoned.
-		a.negMu.Lock()
-		a.negGen.Add(1)
-		a.neg.Purge()
-		a.negMu.Unlock()
+	wf := &workflowState{
+		app:   a,
+		name:  w.Name,
+		obsCh: make(chan time.Duration, 256),
+		adm:   newAdmission(a, a.opt.MaxConcurrency, a.opt.MaxQueue, a.opt.Scale),
 	}
-	wf.behMu.Lock()
-	wf.cur = w
-	wf.behMu.Unlock()
-	return !ok, nil
-}
-
-// rebuildHashIndexLocked recomputes the copy-on-write hash index.
-// Callers hold a.mu.
-func (a *App) rebuildHashIndexLocked() {
-	m := make(map[uint64]*workflowState, len(a.wfs))
-	for n, wf := range a.wfs {
-		m[HashName(n)] = wf
+	wf.cur.Store(w)
+	next, err := withWorkflow(old, wf, HashName(w.Name))
+	if err != nil {
+		return false, err
 	}
-	a.byHash.Store(&m)
+	a.index.Store(next)
+	return true, nil
 }
 
 // RegisterBuiltin registers one of the builtin workloads by name: the
@@ -574,42 +556,27 @@ func (a *App) RegisterBuiltin(name string) (created bool, err error) {
 	return false, fmt.Errorf("serve: unknown builtin workload %q: %w", name, ErrNotFound)
 }
 
-// errUnknownWorkflow is the negative cache's canned miss: a static error
-// so the hot reject path does not allocate per lookup.
+// errUnknownWorkflow is the UDP plane's unknown-hash reject: a static
+// error, so a junk-packet flood does not allocate per lookup.
 var errUnknownWorkflow = fmt.Errorf("serve: unknown workflow: %w", ErrNotFound)
 
+// workflow resolves a registered workflow by name from the current
+// snapshot. It takes no lock, and a miss stores nothing.
 func (a *App) workflow(name string) (*workflowState, error) {
-	if _, miss := a.neg.Get(name); miss {
-		a.m.negHits.Inc()
-		return nil, errUnknownWorkflow
+	if wf, ok := a.index.Load().byName[name]; ok {
+		return wf, nil
 	}
-	// Snapshot the generation before the registry read: if a
-	// registration lands between the read and the note below, it bumps
-	// the generation and the note is discarded.
-	gen := a.negGen.Load()
-	a.mu.RLock()
-	wf, ok := a.wfs[name]
-	a.mu.RUnlock()
-	if !ok {
-		a.negMu.Lock()
-		if a.negGen.Load() == gen {
-			a.neg.Put(name, struct{}{})
-		}
-		a.negMu.Unlock()
-		return nil, fmt.Errorf("serve: workflow %q: %w", name, ErrNotFound)
-	}
-	return wf, nil
+	return nil, fmt.Errorf("serve: workflow %q: %w", name, ErrNotFound)
 }
 
 // Workflows lists registered workflow names, sorted.
 func (a *App) Workflows() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.wfs))
-	for n := range a.wfs {
+	ix := a.index.Load()
+	out := make([]string, 0, len(ix.byName))
+	for n := range ix.byName {
 		out = append(out, n)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -656,7 +623,7 @@ func (a *App) PlanWorkflow(name string, slo time.Duration) (*PlanInfo, error) {
 		}
 		slo = 2 * pred
 	}
-	src := func() *dag.Workflow { return wf.snapshot() }
+	src := wf.snapshot
 	ctrl, err := adapt.New(src, adapt.Options{
 		Const:            a.opt.Const,
 		SLO:              slo,
