@@ -21,8 +21,13 @@ race:
 # longer overwrites the current Program. One timing flake is still
 # known: TestHedgeLifecycleNoLeak's hedge timer is a Go timer and can
 # fire too late to arm ("hedge did not arm") on a loaded machine.
+# A hedge's primary and hedge run take their frames from one Program's
+# free list, so the target also repeats internal/live's frame tests:
+# concurrent runs on one Program, frames reused after an abort or a
+# panic (the allocation budgets skip themselves under -race).
 race-hedge:
 	$(GO) test -race -count=10 -run 'Hedge|Deadline|Program' ./internal/serve
+	$(GO) test -race -count=10 -run 'Frame|ConcurrentRuns|RunAllocs' ./internal/live
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x

@@ -138,7 +138,18 @@ func (p *Program) Run(parent context.Context, opt Options) (*Result, error) {
 		opt.Timeout = 0
 	}
 	r := runnerPool.Get().(*runner)
-	res, err := r.run(ctx, p, opt)
+	var res *Result
+	var err error
+	if p.forks == nil {
+		res, err = r.run(ctx, p, opt)
+	} else {
+		r.f = p.takeFrame(r)
+		res, err = r.run(ctx, p, opt)
+		// Every thread has joined. A run that panicked does not get
+		// here, and its frame, which its threads may still hold, is
+		// dropped.
+		p.giveFrame(r.f)
+	}
 	*r = runner{tids: r.tids[:0]}
 	runnerPool.Put(r)
 	return res, err
@@ -147,6 +158,7 @@ func (p *Program) Run(parent context.Context, opt Options) (*Result, error) {
 // runner is one request's shared state; runners are pooled.
 type runner struct {
 	p       *Program
+	f       *frame // nil when p has no fork point
 	opt     Options
 	ctx     context.Context
 	done    <-chan struct{}
@@ -169,40 +181,6 @@ var runnerPool = sync.Pool{New: func() any { return new(runner) }}
 type thread struct {
 	// at is the cursor: nominal time since the request began.
 	at time.Duration
-}
-
-// join collects the cursors of the threads a parent started: the parent
-// resumes at the latest of them.
-type join struct {
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	end time.Duration
-}
-
-// newJoin is nil, and costs nothing, when there is nobody to wait for.
-func newJoin(children int) *join {
-	if children <= 0 {
-		return nil
-	}
-	j := new(join)
-	j.wg.Add(children)
-	return j
-}
-
-// done ends a child thread at its cursor.
-func (j *join) done(th *thread) {
-	j.mu.Lock()
-	j.end = max(j.end, th.at)
-	j.mu.Unlock()
-	j.wg.Done()
-}
-
-// wait blocks until every child is done and moves th past them.
-func (j *join) wait(th *thread) {
-	if j != nil {
-		j.wg.Wait()
-		th.at = max(th.at, j.end)
-	}
 }
 
 func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, error) {
@@ -367,15 +345,19 @@ func (r *runner) fail(err error) {
 // strictly ordered). The last wrap runs on the caller's goroutine, so a
 // one-wrap stage starts none.
 func (r *runner) runStage(th *thread, si int) error {
-	wraps := r.p.stages[si]
+	st := &r.p.stages[si]
+	wraps := st.wraps
 	start := th.at
 	last := len(wraps) - 1
-	j := newJoin(last)
-	for i := range wraps[:last] {
-		go r.wrapThread(j, si, &wraps[i], start)
+	var s *site
+	if last > 0 {
+		s = r.fork(st.site, start)
+		for i := range last {
+			s.spawn(i, start)
+		}
 	}
 	r.invokeWrap(th, si, &wraps[last])
-	j.wait(th)
+	s.wait(th)
 	if r.opt.Rec != nil {
 		var args []obs.Arg
 		if r.verbose {
@@ -390,12 +372,6 @@ func (r *runner) runStage(th *thread, si int) error {
 	err := r.runErr
 	r.mu.Unlock()
 	return err
-}
-
-func (r *runner) wrapThread(j *join, si int, wp *wrapProg, at time.Duration) {
-	th := thread{at: at}
-	r.invokeWrap(&th, si, wp)
-	j.done(&th)
 }
 
 // invokeWrap runs one wrap from the stage's start: a remote wrap is
@@ -425,30 +401,37 @@ func (r *runner) runWrap(th *thread, si int, wp *wrapProg) {
 	}
 	start := th.at
 	if wp.cfg.Pool {
-		r.runPool(th, si, wp)
+		r.runPool(th, wp)
 	} else {
 		last := len(wp.procs) - 1
-		j := newJoin(last)
+		var s *site
+		if last > 0 {
+			s = r.fork(wp.site, th.at)
+		}
 		for i := range wp.procs {
 			pp := &wp.procs[i]
 			if !pp.resident && r.opt.Rec != nil {
+				var args []obs.Arg
+				if r.verbose {
+					args = []obs.Arg{obs.A("proc", pp.proc)}
+				}
 				r.opt.Rec.RecordInstant(obs.Instant{
 					PID: pid, TID: 0, Name: "fork", Cat: obs.CatFork,
-					At: th.at, Args: []obs.Arg{obs.A("proc", pp.proc)},
+					At: th.at, Args: args,
 				})
 			}
 			if i == last {
 				r.runProcess(th, si, wp, pp)
 				break
 			}
-			go r.procThread(j, si, wp, pp, th.at)
+			s.spawn(i, th.at)
 			if !pp.resident {
 				// The orchestrator issued a fork, which blocks the next
 				// one (Observation 2's sequential forking).
 				r.sleep(th, r.opt.Const.ProcBlockStep)
 			}
 		}
-		j.wait(th)
+		s.wait(th)
 		if last > 0 {
 			from := th.at
 			r.sleep(th, time.Duration(last)*r.opt.Const.IPCCost)
@@ -464,12 +447,6 @@ func (r *runner) runWrap(th *thread, si int, wp *wrapProg) {
 		}
 		r.span(pid, 0, wrapName(si), obs.CatWrap, start, th.at, args...)
 	}
-}
-
-func (r *runner) procThread(j *join, si int, wp *wrapProg, pp *procProg, at time.Duration) {
-	th := thread{at: at}
-	r.runProcess(&th, si, wp, pp)
-	j.done(&th)
 }
 
 // cpuGate is what a function's CPU spans contend for: a process's GIL
@@ -488,14 +465,6 @@ type cpuGate struct {
 	// the coarse span tree, not for hundreds of scheduler events per CPU
 	// segment.
 	narrate bool
-}
-
-func newGate(slots int, at time.Duration) chan time.Duration {
-	c := make(chan time.Duration, slots)
-	for i := 0; i < slots; i++ {
-		c <- at
-	}
-	return c
 }
 
 func (g *cpuGate) acquire(th *thread) {
@@ -521,9 +490,11 @@ func (r *runner) runProcess(th *thread, si int, wp *wrapProg, pp *procProg) {
 	}
 	gate := cpuGate{quantum: r.opt.Const.GILInterval, narrate: pp.gil && r.verbose}
 	last := len(pp.fns) - 1
-	j := newJoin(last)
-	if last > 0 && pp.gil {
-		gate.slots = newGate(1, th.at)
+	var s *site
+	if last > 0 {
+		s = r.fork(pp.site, th.at)
+		gate.slots = s.gate.slots // nil unless the runtime has a GIL
+		s.gate = gate
 	}
 	for i, fn := range pp.fns {
 		// Thread clone cost, paid serially by the process main.
@@ -534,60 +505,41 @@ func (r *runner) runProcess(th *thread, si int, wp *wrapProg, pp *procProg) {
 			r.runFunction(th, si, wp.sandbox, fn, gate)
 			break
 		}
-		go r.fnThread(j, si, wp.sandbox, fn, gate, th.at)
+		s.spawn(i, th.at)
 	}
-	j.wait(th)
-}
-
-func (r *runner) fnThread(j *join, si, sandbox int, fn *behavior.Spec, gate cpuGate, at time.Duration) {
-	th := thread{at: at}
-	r.runFunction(&th, si, sandbox, fn, gate)
-	j.done(&th)
-}
-
-// poolRun is one pool wrap's dispatch state.
-type poolRun struct {
-	join
-	start time.Duration // when the dispatcher began submitting
-	next  atomic.Int64  // next task to hand out
-	gate  cpuGate
+	s.wait(th)
 }
 
 // runPool executes the wrap's functions on a worker pool: the dispatcher
 // submits the tasks serially in the compiled order, free workers take
 // them in that order, and CPU spans occupy a cpuset slot (pool workers
 // are GIL-free processes). The caller is one of the workers.
-func (r *runner) runPool(th *thread, si int, wp *wrapProg) {
-	pr := &poolRun{start: th.at}
-	pr.gate.slots = newGate(max(wp.cfg.CPUs, 1), th.at)
-	pr.wg.Add(wp.workers - 1)
-	for i := 1; i < wp.workers; i++ {
-		go r.poolThread(pr, si, wp, th.at)
+func (r *runner) runPool(th *thread, wp *wrapProg) {
+	s := r.fork(wp.site, th.at)
+	s.start = th.at
+	s.next.Store(0)
+	for i := range s.kids {
+		s.spawn(i, th.at)
 	}
-	r.poolWorker(th, pr, si, wp)
-	pr.wait(th)
-}
-
-func (r *runner) poolThread(pr *poolRun, si int, wp *wrapProg, at time.Duration) {
-	th := thread{at: at}
-	r.poolWorker(&th, pr, si, wp)
-	pr.done(&th)
+	r.poolWorker(th, s)
+	s.wait(th)
 }
 
 // poolWorker takes tasks until none are left or the request is aborted.
 // Task k was submitted after k earlier dispatches (Eq. 4's (j-1) x
 // T_Block), so a worker that is free sooner waits for it.
-func (r *runner) poolWorker(th *thread, pr *poolRun, si int, wp *wrapProg) {
+func (r *runner) poolWorker(th *thread, s *site) {
+	wp := s.wp
 	for r.aborted() == nil {
-		k := int(pr.next.Add(1)) - 1
+		k := int(s.next.Add(1)) - 1
 		if k >= len(wp.tasks) {
 			return
 		}
-		if issued := pr.start + time.Duration(k)*r.opt.Const.PoolDispatch; issued > th.at {
+		if issued := s.start + time.Duration(k)*r.opt.Const.PoolDispatch; issued > th.at {
 			th.at = issued
 			r.wait(th)
 		}
-		r.runFunction(th, si, wp.sandbox, wp.tasks[k], pr.gate)
+		r.runFunction(th, s.si, wp.sandbox, wp.tasks[k], s.gate)
 	}
 }
 

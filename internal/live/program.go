@@ -11,16 +11,28 @@ import (
 
 // Program is a plan compiled against one workflow snapshot: everything
 // about a request that does not depend on the request — plan validation,
-// each stage's wrap/process/thread grouping, pool dispatch order —
-// computed once, so Run only walks slices. A Program is immutable and
+// each stage's wrap/process/thread grouping, pool dispatch order, the
+// fork points — computed once, so Run only walks slices. A Program is
 // safe for concurrent Runs; it must be recompiled when either the plan
-// or the workflow's behaviour changes.
+// or the workflow's behaviour changes. Its only mutable state is the
+// free list of run frames (frame.go).
 type Program struct {
 	name       string // the workflow's
 	reqName    string // the request span's
-	stages     [][]wrapProg
+	stages     []stageProg
 	nFns       int
 	nSandboxes int
+	// forks are the fork points, numbered at Compile; nil when there
+	// are none, and then a run takes no frame.
+	forks  []fork
+	frames frameList
+}
+
+// stageProg is one stage: its wraps, the last of which runs on the
+// request's own goroutine.
+type stageProg struct {
+	wraps []wrapProg
+	site  int // index in Program.forks of the other wraps' fork, when there are any
 }
 
 // wrapProg is one wrap's share of one stage.
@@ -35,6 +47,9 @@ type wrapProg struct {
 	// tasks and workers describe a pool wrap: tasks in dispatch order.
 	tasks   []*behavior.Spec
 	workers int
+	// site indexes Program.forks: a pool's workers, or the processes
+	// of a wrap that has more than one.
+	site int
 }
 
 // procProg is one process of a wrap within one stage.
@@ -49,6 +64,9 @@ type procProg struct {
 	// gil: the runtime is pseudo-parallel, so CPU spans hold the
 	// process's interpreter lock.
 	gil bool
+	// site indexes Program.forks: the function threads, when there
+	// are more functions than one.
+	site int
 }
 
 // Compile validates plan against w and lowers it into a Program. It
@@ -61,7 +79,7 @@ func Compile(w *dag.Workflow, plan *wrap.Plan) (*Program, error) {
 	p := &Program{
 		name:       w.Name,
 		reqName:    "request " + w.Name,
-		stages:     make([][]wrapProg, len(w.Stages)),
+		stages:     make([]stageProg, len(w.Stages)),
 		nSandboxes: len(plan.Sandboxes),
 	}
 	for si := range w.Stages {
@@ -84,10 +102,44 @@ func Compile(w *dag.Workflow, plan *wrap.Plan) (*Program, error) {
 				wp.compileProcs(sw)
 			}
 		}
-		p.stages[si] = progs
+		p.stages[si] = stageProg{wraps: progs}
+		p.addForks(si)
 		p.nFns += len(w.Stages[si].Functions)
 	}
 	return p, nil
+}
+
+// addForks numbers stage si's fork points: every place a run starts
+// goroutines, with the gate its children contend for.
+func (p *Program) addForks(si int) {
+	add := func(f fork) int {
+		f.si = si
+		p.forks = append(p.forks, f)
+		return len(p.forks) - 1
+	}
+	st := &p.stages[si]
+	if n := len(st.wraps) - 1; n > 0 {
+		st.site = add(fork{kind: forkStage, children: n})
+	}
+	for i := range st.wraps {
+		wp := &st.wraps[i]
+		if wp.cfg.Pool {
+			// The caller is one of the workers.
+			wp.site = add(fork{kind: forkPool, wp: wp, children: wp.workers - 1, slots: max(wp.cfg.CPUs, 1)})
+		} else if n := len(wp.procs) - 1; n > 0 {
+			wp.site = add(fork{kind: forkWrap, wp: wp, children: n})
+		}
+		for j := range wp.procs {
+			pp := &wp.procs[j]
+			if n := len(pp.fns) - 1; n > 0 {
+				f := fork{kind: forkProcess, wp: wp, pp: pp, children: n}
+				if pp.gil {
+					f.slots = 1
+				}
+				pp.site = add(f)
+			}
+		}
+	}
 }
 
 func (wp *wrapProg) compileProcs(sw wrap.StageWrap) {

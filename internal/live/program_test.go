@@ -83,8 +83,8 @@ func TestScheduleEnvelope(t *testing.T) {
 }
 
 // TestNullRunFixedCost guards the per-request tax of the smallest
-// request: a handful of allocations (the result, its timings, the
-// store) and no goroutine.
+// request: four allocations (the result, its timings, the store's
+// struct and map), no frame and no goroutine.
 func TestNullRunFixedCost(t *testing.T) {
 	w, err := dag.FromStages("null", 0, []*behavior.Spec{cpuFn("f", time.Microsecond)})
 	if err != nil {
@@ -100,8 +100,11 @@ func TestNullRunFixedCost(t *testing.T) {
 		if _, err := p.Run(ctx, o); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 8 {
-		t.Errorf("null run allocates %.0f times, want <= 8", n)
+	}); n > 4 {
+		t.Errorf("null run allocates %.0f times, want <= 4", n)
+	}
+	if n := len(idleFrames(p)); n != 0 {
+		t.Errorf("a Program with no fork point holds %d frames, want 0", n)
 	}
 
 	var inside int
@@ -315,8 +318,8 @@ func pgpPlan(t *testing.T, w *dag.Workflow) *wrap.Plan {
 
 // uncontended reports whether no two threads of p ever share a gate.
 func uncontended(p *Program) bool {
-	for _, wraps := range p.stages {
-		for _, wp := range wraps {
+	for _, st := range p.stages {
+		for _, wp := range st.wraps {
 			if wp.cfg.Pool {
 				return false
 			}
@@ -379,7 +382,9 @@ func disagreements(w *dag.Workflow, plan *wrap.Plan, want *engine.Result, got *R
 }
 
 // TestConcurrentRunsShareProgram: one Program serves many requests at
-// once (run under -race): runs share nothing but the compiled slices.
+// once (run under -race): runs share the compiled slices and the free
+// list of run frames, which grows to the peak number of concurrent runs
+// and hands every frame back clean.
 func TestConcurrentRunsShareProgram(t *testing.T) {
 	w := workloads.SocialNetwork()
 	p, err := Compile(w, pgpPlan(t, w))
@@ -404,4 +409,8 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if n := len(idleFrames(p)); n == 0 || n > 8 {
+		t.Errorf("the Program holds %d frames after 8 concurrent callers, want 1 to 8", n)
+	}
+	checkIdleFrames(t, p)
 }
