@@ -22,12 +22,16 @@ race:
 # known: TestHedgeLifecycleNoLeak's hedge timer is a Go timer and can
 # fire too late to arm ("hedge did not arm") on a loaded machine.
 # A hedge's primary and hedge run take their frames from one Program's
-# free list, so the target also repeats internal/live's frame tests:
-# concurrent runs on one Program, frames reused after an abort or a
-# panic (the allocation budgets skip themselves under -race).
+# free list and their runners from one pool, and the attempt that loses
+# the CAS releases its result on its own goroutine while the caller
+# reads the winner's (TestHedgeLoserReleaseRace). So the target also
+# repeats internal/live's frame and release tests: concurrent runs on
+# one Program, frames reused after an abort or a panic, a held result
+# read while other runs release theirs (the allocation budgets skip
+# themselves under -race).
 race-hedge:
 	$(GO) test -race -count=10 -run 'Hedge|Deadline|Program' ./internal/serve
-	$(GO) test -race -count=10 -run 'Frame|ConcurrentRuns|RunAllocs' ./internal/live
+	$(GO) test -race -count=10 -run 'Frame|ConcurrentRuns|RunAllocs|Release' ./internal/live
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x

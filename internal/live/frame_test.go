@@ -49,10 +49,11 @@ func checkIdleFrames(t *testing.T, p *Program) {
 	}
 }
 
-// TestRunAllocsFlat: once a Program has a frame, a run allocates what
-// the null run does (the result, its timings and the store) however
-// wide the plan fans out, with no recorder and with the flight
-// recorder the serving plane always attaches. Before frames FINRA-200
+// TestRunAllocsFlat: once a Program has a frame and a released runner
+// is pooled, a run allocates nothing however wide the plan fans out,
+// with no recorder and with the flight recorder the serving plane
+// always attaches: the result and its timings come with the runner,
+// and nothing is bound, so no store is made. Before frames FINRA-200
 // allocated 267 times a run, SocialNetwork 14.
 func TestRunAllocsFlat(t *testing.T) {
 	if raceEnabled {
@@ -71,13 +72,15 @@ func TestRunAllocsFlat(t *testing.T) {
 			o := Options{Const: model.Default(), Scale: 1e-4, Rand: func() float64 { return 1 }}
 			ctx := context.Background()
 			n := testing.AllocsPerRun(50, func() {
-				if _, err := p.Run(ctx, o); err != nil {
+				res, err := p.Run(ctx, o)
+				if err != nil {
 					t.Fatal(err)
 				}
+				res.Release()
 			})
 			t.Logf("%.0f allocations per run", n)
-			if n > 4 {
-				t.Errorf("no recorder: %.0f allocations per run, want <= 4", n)
+			if n > 0 {
+				t.Errorf("no recorder: %.0f allocations per run, want 0", n)
 			}
 			if n := testing.AllocsPerRun(50, func() {
 				rec := fl.Acquire()
@@ -87,8 +90,9 @@ func TestRunAllocsFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 				fl.Finish(rec, flight.Info{Workflow: w.Name, Latency: res.E2E})
-			}); n > 4 {
-				t.Errorf("flight recorder: %.0f allocations per run, want <= 4", n)
+				res.Release()
+			}); n > 0 {
+				t.Errorf("flight recorder: %.0f allocations per run, want 0", n)
 			}
 		})
 	}
@@ -131,21 +135,28 @@ func TestFrameReusedAfterAbort(t *testing.T) {
 	}
 	checkIdleFrames(t, p)
 
-	res, err := p.Run(context.Background(), o)
-	if err != nil {
-		t.Fatalf("run after the aborted ones: %v", err)
-	}
-	if len(res.Functions) != 10 {
-		t.Errorf("%d function timings, want 10", len(res.Functions))
-	}
 	// Threads that share a GIL may take it in another order, which
 	// moves the schedule by a switch interval or so, not by a stage.
+	// Under -race a late hand-off can move it further, so the run is
+	// retried; stale tokens would hold back every attempt.
+	var res *Result
+	for i := 0; i < attempts; i++ {
+		if res, err = p.Run(context.Background(), o); err != nil {
+			t.Fatalf("run after the aborted ones: %v", err)
+		}
+		if len(res.Functions) != 10 {
+			t.Errorf("%d function timings, want 10", len(res.Functions))
+		}
+		if (res.Scheduled - first.Scheduled).Abs() <= first.Scheduled/10 {
+			break
+		}
+	}
 	if d := (res.Scheduled - first.Scheduled).Abs(); d > first.Scheduled/10 {
 		t.Errorf("scheduled %v on a reused frame, %v on a new one", res.Scheduled, first.Scheduled)
 	}
 	checkIdleFrames(t, p)
 	if n := len(idleFrames(p)); n != 1 {
-		t.Errorf("the Program holds %d frames after four runs in a row, want 1", n)
+		t.Errorf("the Program holds %d frames after the aborted runs and the whole ones, want 1", n)
 	}
 }
 

@@ -106,8 +106,26 @@ type Result struct {
 	// Functions in completion order.
 	Functions []FnTiming
 	// Store is the final intermediate-data store (bound functions'
-	// outputs survive here).
+	// outputs survive here). It is nil when Options.Bindings binds no
+	// function: replayed segments read and write nothing.
 	Store *storage.MemStore
+
+	r *runner // the pooled runner that owns the Result; nil once released
+}
+
+// Release hands the Result, and the runner that produced it, back for
+// the next run to reuse. Call it at most once, once the Result will not
+// be read again: after Release every field may change under a later
+// run. Forgetting to call it is safe; the Result is then garbage
+// collected like any value. Release on nil does nothing.
+func (res *Result) Release() {
+	if res == nil || res.r == nil {
+		return
+	}
+	r := res.r
+	clear(res.Functions) // drop the names the timings point at
+	*res = Result{Functions: res.Functions[:0]}
+	runnerPool.Put(r)
 }
 
 // Run executes one request of the compiled plan, honouring the parent
@@ -117,6 +135,11 @@ type Result struct {
 // to drain cleanly on shutdown. When both a parent deadline and
 // Options.Timeout are set, the earlier one wins; when neither is set the
 // 30s default backstop applies.
+//
+// The Result, its Functions included, belongs to a pooled runner and is
+// the caller's until it calls Result.Release, which lets the next run
+// reuse all of it: a warm Run that is released allocates nothing. A
+// failed run returns nil and keeps nothing checked out.
 func (p *Program) Run(parent context.Context, opt Options) (*Result, error) {
 	if opt.Timeout <= 0 {
 		if _, hasDeadline := parent.Deadline(); !hasDeadline {
@@ -138,24 +161,28 @@ func (p *Program) Run(parent context.Context, opt Options) (*Result, error) {
 		opt.Timeout = 0
 	}
 	r := runnerPool.Get().(*runner)
-	var res *Result
 	var err error
 	if p.forks == nil {
-		res, err = r.run(ctx, p, opt)
+		err = r.run(ctx, p, opt)
 	} else {
 		r.f = p.takeFrame(r)
-		res, err = r.run(ctx, p, opt)
+		err = r.run(ctx, p, opt)
 		// Every thread has joined. A run that panicked does not get
 		// here, and its frame, which its threads may still hold, is
 		// dropped.
 		p.giveFrame(r.f)
 	}
-	*r = runner{tids: r.tids[:0]}
-	runnerPool.Put(r)
-	return res, err
+	// The runner keeps its Result and nothing else the run used.
+	*r = runner{tids: r.tids[:0], res: r.res}
+	if err != nil {
+		r.res.Release()
+		return nil, err
+	}
+	return &r.res, nil
 }
 
-// runner is one request's shared state; runners are pooled.
+// runner is one request's shared state. Runners are pooled: a runner
+// goes back to the pool when its Result is released.
 type runner struct {
 	p       *Program
 	f       *frame // nil when p has no fork point
@@ -169,7 +196,7 @@ type runner struct {
 	expired atomic.Bool
 
 	mu     sync.Mutex
-	res    *Result
+	res    Result
 	runErr error
 	tids   []int // per-sandbox function-row allocator (tracing)
 }
@@ -183,11 +210,19 @@ type thread struct {
 	at time.Duration
 }
 
-func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, error) {
+// run executes p into r.res, whose Functions keep the capacity of the
+// runner's earlier runs.
+func (r *runner) run(ctx context.Context, p *Program, opt Options) error {
 	r.p, r.opt, r.ctx, r.done = p, opt, ctx, ctx.Done()
 	r.scale, r.timeout = opt.scale(), opt.Timeout
 	r.verbose = obs.IsVerbose(opt.Rec)
-	r.res = &Result{Functions: make([]FnTiming, 0, p.nFns), Store: storage.NewMem()}
+	r.res.r = r
+	if cap(r.res.Functions) < p.nFns {
+		r.res.Functions = make([]FnTiming, 0, p.nFns)
+	}
+	if len(opt.Bindings) > 0 {
+		r.res.Store = storage.NewMem()
+	}
 	if opt.Rec != nil {
 		r.tids = append(r.tids, make([]int, p.nSandboxes)...)
 	}
@@ -199,9 +234,9 @@ func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, err
 		err = r.runStage(&th, si)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := r.res
+	res := &r.res
 	res.E2E, res.Scheduled = r.nominalNow(), th.at
 	if rec := opt.Rec; rec != nil {
 		if tr, ok := rec.(obs.Namer); ok {
@@ -217,7 +252,7 @@ func (r *runner) run(ctx context.Context, p *Program, opt Options) (*Result, err
 		// The request alone ends on the clock, not on the schedule.
 		r.span(0, 0, p.reqName, obs.CatRequest, 0, res.E2E, args...)
 	}
-	return res, nil
+	return nil
 }
 
 // Track-name tables: stage/wrap/sandbox indices are single digits in

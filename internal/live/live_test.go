@@ -219,6 +219,15 @@ func TestBindingsRunRealCode(t *testing.T) {
 	if string(out) != "hello from stage 0!" {
 		t.Fatalf("bound pipeline produced %q", out)
 	}
+
+	// Replayed segments touch no store, so an unbound run makes none.
+	o.Bindings = nil
+	if res, err = Run(w, plan, o); err != nil {
+		t.Fatal(err)
+	}
+	if res.Store != nil {
+		t.Fatal("a run with no bound function has a store")
+	}
 }
 
 func TestBindingErrorPropagates(t *testing.T) {

@@ -83,8 +83,9 @@ func TestScheduleEnvelope(t *testing.T) {
 }
 
 // TestNullRunFixedCost guards the per-request tax of the smallest
-// request: four allocations (the result, its timings, the store's
-// struct and map), no frame and no goroutine.
+// request: no allocation, no frame and no goroutine. A released run
+// hands its result and timings to the next one, and an unbound run
+// makes no store.
 func TestNullRunFixedCost(t *testing.T) {
 	w, err := dag.FromStages("null", 0, []*behavior.Spec{cpuFn("f", time.Microsecond)})
 	if err != nil {
@@ -97,11 +98,13 @@ func TestNullRunFixedCost(t *testing.T) {
 	o := Options{Const: model.Default(), Scale: 0.001, Timeout: 30 * time.Second}
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := p.Run(ctx, o); err != nil {
+		res, err := p.Run(ctx, o)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n > 4 {
-		t.Errorf("null run allocates %.0f times, want <= 4", n)
+		res.Release()
+	}); n > 0 {
+		t.Errorf("null run allocates %.0f times, want 0", n)
 	}
 	if n := len(idleFrames(p)); n != 0 {
 		t.Errorf("a Program with no fork point holds %d frames, want 0", n)

@@ -123,14 +123,16 @@ func (ad Admitted) Execute(ctx context.Context) (FastResult, error) {
 	a := ad.app
 	defer a.untrack()
 	defer ad.wf.adm.done()
-	_, fast, err := a.executeAdmitted(ctx, ad.wf, ad.wait, ad.id, nil)
+	res, fast, err := a.executeAdmitted(ctx, ad.wf, ad.wait, ad.id, nil)
+	res.Release()
 	return fast, err
 }
 
 // executeAdmitted is the execution core shared by the HTTP and UDP
 // paths: epoch load, behaviour snapshot, warm-pool lease, live run
 // (hedged when armed), then metric and controller feedback. The caller
-// holds an admission slot (released by the caller, not here).
+// holds an admission slot (released by the caller, not here), and
+// releases the returned live.Result once it has read it.
 func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.Duration, id uint64, rec obs.Recorder) (*live.Result, FastResult, error) {
 	a.m.inflight.Add(1)
 	defer a.m.inflight.Add(-1)

@@ -44,7 +44,9 @@ func (a *App) hedgeDelay(wf *workflowState) time.Duration {
 // context both attempts share. claim decides the winner (0 none,
 // 1 primary, 2 hedge); wg holds the armed attempt until it has unwound.
 // The caller reads res and hedged only once the timer was stopped
-// before firing or wg.Wait has returned.
+// before firing or wg.Wait has returned. An attempt that loses the CAS
+// releases its own live.Result on its own goroutine; the winner's is
+// res, which the caller releases.
 type hedgeRun struct {
 	ps     *planState
 	prog   *live.Program
@@ -90,6 +92,8 @@ func (a *App) runHedged(ctx context.Context, ps *planState, prog *live.Program, 
 	if err == nil && h.claim.CompareAndSwap(0, 1) {
 		h.res = r
 		h.cancel()
+	} else {
+		r.Release() // the hedge won, or r is a failed run's nil
 	}
 	if h.timer.Stop() {
 		h.wg.Done() // the hedge never fired: nothing to wait for
@@ -140,5 +144,7 @@ func (h *hedgeRun) hedge() {
 	if err == nil && h.claim.CompareAndSwap(0, 2) {
 		h.res = r
 		h.cancel()
+	} else {
+		r.Release() // the primary won, or r is a failed run's nil
 	}
 }

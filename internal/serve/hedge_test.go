@@ -325,6 +325,69 @@ func TestHedgedInvokeStampede(t *testing.T) {
 	}
 }
 
+// TestHedgeLoserReleaseRace: both attempts of a hedged request take a
+// pooled live runner, and the losing attempt's runner goes back to the
+// pool on that attempt's goroutine while the caller reads the winner's
+// result. Four closed-loop callers race hedges that fire about when the
+// primary ends (a third of the calls stall 20x), so hedges both win and
+// lose, and every released runner is at once reused by another request.
+// make race-hedge runs this under -race, where a winner's runner
+// released early is a write racing the caller's read of its E2E or
+// timings. (A loser is nearly always cut short and released inside
+// live; one that finished before the winner's cancel, which serve
+// releases, is rare here.)
+func TestHedgeLoserReleaseRace(t *testing.T) {
+	a := testApp(t, Options{Scale: 0.05, HedgeQuantile: 1, MaxConcurrency: 16, MaxQueue: 64, Window: 1 << 20})
+	if _, err := a.Register(tailWorkflow(time.Millisecond, 20*time.Millisecond, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, a, "wf-tail", time.Minute)
+	h := HashName("wf-tail")
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				ctx := context.Background()
+				if (c+i)%2 == 0 {
+					res, err := a.Invoke(ctx, "wf-tail", nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(res.Functions) != 1 || res.Functions[0].Name != "f-tail" || res.E2EMs <= 0 {
+						t.Errorf("invoke result: e2e %v ms, functions %+v", res.E2EMs, res.Functions)
+					}
+					continue
+				}
+				ad, err := a.AdmitHash(ctx, h)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := ad.Execute(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.E2E <= 0 {
+					t.Errorf("execute result: e2e %v", res.E2E)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := a.m.requests.Value(); got != 160 {
+		t.Fatalf("requests_total = %d, want 160", got)
+	}
+	if a.m.hedgeWins.Value() == 0 || a.m.hedgeWasted.Value() == 0 {
+		t.Fatalf("hedges %d: %d won, %d wasted; want both outcomes",
+			a.m.hedges.Value(), a.m.hedgeWins.Value(), a.m.hedgeWasted.Value())
+	}
+	t.Logf("hedges %d: %d won, %d wasted", a.m.hedges.Value(), a.m.hedgeWins.Value(), a.m.hedgeWasted.Value())
+}
+
 // TestRegisterBuiltinTailHeavy: the TailHeavy hedging testbed is
 // registrable through the builtin path (Extras, not the paper Suite).
 func TestRegisterBuiltinTailHeavy(t *testing.T) {
@@ -342,7 +405,9 @@ func TestRegisterBuiltinTailHeavy(t *testing.T) {
 // TestHedgeArmedNotFiredAllocs: a hedge that is armed but never fires
 // costs the request only the cancellable context both attempts would
 // share. The second attempt's goroutine, lease and bookkeeping are paid
-// when the delay elapses, not up front.
+// when the delay elapses, not up front. An unhedged request allocates
+// nothing, so all three are context.WithCancel's; an abort handle that
+// is not a context would remove them.
 func TestHedgeArmedNotFiredAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation budgets are checked without it")
@@ -375,6 +440,7 @@ func TestHedgeArmedNotFiredAllocs(t *testing.T) {
 	if n := a.m.hedges.Value(); n != 0 {
 		t.Fatalf("quantile 1000 fired %d hedges; the armed path was not measured", n)
 	}
+	t.Logf("%.0f allocations per request armed, %.0f unhedged", armed, off)
 	if armed-off > 3 {
 		t.Fatalf("armed-but-not-fired hedge costs %.1f allocs per request over an unhedged one (%.1f vs %.1f), want <= 3",
 			armed-off, armed, off)

@@ -104,6 +104,7 @@ func (a *App) invoke(ctx context.Context, name string, rec obs.Recorder) (*Invok
 			FinishMs: ms(f.Finish),
 		}
 	}
+	res.Release()
 	return out, nil
 }
 
