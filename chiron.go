@@ -328,7 +328,9 @@ type LiveFn = live.Fn
 // LiveCtx is the context handed to bound functions (store access, spec).
 type LiveCtx = live.Ctx
 
-// LiveResult is one live request's measured outcome.
+// LiveResult is one live request's measured outcome. Its Store is nil
+// unless LiveOptions.Bindings binds a function; a nil store reads as
+// empty (Get reports not found, Len is 0).
 type LiveResult = live.Result
 
 // RunLive executes one request of w under plan on the wall clock — the

@@ -119,6 +119,33 @@ func TestFrameReusedAfterAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Threads that share a GIL may take it in another order, which
+	// moves the schedule by a switch interval or so, not by a stage.
+	// Under -race a late hand-off can move it further, so the check is
+	// retried; each attempt aborts two runs first, so the run it checks
+	// is always the first on a frame an abort handed back, and stale
+	// tokens would hold back every attempt.
+	var res *Result
+	for i := 0; i < attempts; i++ {
+		res = runAfterAborts(t, p, o)
+		if (res.Scheduled - first.Scheduled).Abs() <= first.Scheduled/10 {
+			break
+		}
+	}
+	if d := (res.Scheduled - first.Scheduled).Abs(); d > first.Scheduled/10 {
+		t.Errorf("scheduled %v on a reused frame, %v on a new one", res.Scheduled, first.Scheduled)
+	}
+	checkIdleFrames(t, p)
+	if n := len(idleFrames(p)); n != 1 {
+		t.Errorf("the Program holds %d frames after the aborted runs and the whole ones, want 1", n)
+	}
+}
+
+// runAfterAborts runs p once cancelled mid-schedule and once cut by
+// Options.Timeout, checks that each hands its frame back ready, and
+// returns the whole run that follows them.
+func runAfterAborts(t *testing.T, p *Program, o Options) *Result {
+	t.Helper()
 	// The schedule is about 25 ms long at Scale 1.
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := time.AfterFunc(8*time.Millisecond, cancel)
@@ -135,29 +162,14 @@ func TestFrameReusedAfterAbort(t *testing.T) {
 	}
 	checkIdleFrames(t, p)
 
-	// Threads that share a GIL may take it in another order, which
-	// moves the schedule by a switch interval or so, not by a stage.
-	// Under -race a late hand-off can move it further, so the run is
-	// retried; stale tokens would hold back every attempt.
-	var res *Result
-	for i := 0; i < attempts; i++ {
-		if res, err = p.Run(context.Background(), o); err != nil {
-			t.Fatalf("run after the aborted ones: %v", err)
-		}
-		if len(res.Functions) != 10 {
-			t.Errorf("%d function timings, want 10", len(res.Functions))
-		}
-		if (res.Scheduled - first.Scheduled).Abs() <= first.Scheduled/10 {
-			break
-		}
+	res, err := p.Run(context.Background(), o)
+	if err != nil {
+		t.Fatalf("run after the aborted ones: %v", err)
 	}
-	if d := (res.Scheduled - first.Scheduled).Abs(); d > first.Scheduled/10 {
-		t.Errorf("scheduled %v on a reused frame, %v on a new one", res.Scheduled, first.Scheduled)
+	if len(res.Functions) != 10 {
+		t.Errorf("%d function timings, want 10", len(res.Functions))
 	}
-	checkIdleFrames(t, p)
-	if n := len(idleFrames(p)); n != 1 {
-		t.Errorf("the Program holds %d frames after the aborted runs and the whole ones, want 1", n)
-	}
+	return res
 }
 
 // TestFrameDroppedOnPanic: a run that panics keeps its frame off the

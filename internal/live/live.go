@@ -107,7 +107,8 @@ type Result struct {
 	Functions []FnTiming
 	// Store is the final intermediate-data store (bound functions'
 	// outputs survive here). It is nil when Options.Bindings binds no
-	// function: replayed segments read and write nothing.
+	// function: replayed segments read and write nothing. A nil store
+	// reads as empty.
 	Store *storage.MemStore
 
 	r *runner // the pooled runner that owns the Result; nil once released

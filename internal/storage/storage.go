@@ -82,7 +82,8 @@ func (s *SimStore) Stats() (puts, gets int) {
 }
 
 // MemStore is a real in-memory KV store used by the live executor: actual
-// byte slices, actual copies, safe for concurrent use.
+// byte slices, actual copies, safe for concurrent use. A nil *MemStore
+// reads as an empty store: Get, Delete and Len work on it, Put panics.
 type MemStore struct {
 	mu sync.RWMutex
 	m  map[string][]byte
@@ -102,6 +103,9 @@ func (s *MemStore) Put(key string, val []byte) {
 
 // Get returns a copy of the value, or an error if absent.
 func (s *MemStore) Get(key string) ([]byte, error) {
+	if s == nil {
+		return nil, fmt.Errorf("storage: object %q not found", key)
+	}
 	s.mu.RLock()
 	v, ok := s.m[key]
 	s.mu.RUnlock()
@@ -115,6 +119,9 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 
 // Delete removes a key (idempotent).
 func (s *MemStore) Delete(key string) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	delete(s.m, key)
 	s.mu.Unlock()
@@ -122,6 +129,9 @@ func (s *MemStore) Delete(key string) {
 
 // Len returns the number of stored objects.
 func (s *MemStore) Len() int {
+	if s == nil {
+		return 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.m)

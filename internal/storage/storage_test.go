@@ -89,6 +89,19 @@ func TestMemStoreCopiesValues(t *testing.T) {
 	}
 }
 
+// TestNilMemStoreReadsEmpty: a live run with no bound function has a
+// nil store, and reading it answers as an empty store would.
+func TestNilMemStoreReadsEmpty(t *testing.T) {
+	var s *MemStore
+	if _, err := s.Get("k"); err == nil {
+		t.Fatal("Get on a nil store found a value")
+	}
+	s.Delete("k")
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d on a nil store", n)
+	}
+}
+
 func TestTCPStoreEndToEnd(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", NewMem())
 	if err != nil {
